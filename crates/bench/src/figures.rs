@@ -3,11 +3,10 @@
 //!
 //! Each driver expands its experiment grid into independent [`JobSpec`]s,
 //! shards them across the [`fireguard_soc::sweep`] worker pool, and
-//! assembles the results into a structured report. The legacy per-figure
-//! binaries (`fig7a` … `mapper_ablation`) and the unified `fireguard` CLI
-//! both dispatch through the [`FIGURES`] registry, so their output is
-//! byte-identical by construction — and independent of the worker count,
-//! because the sweep engine re-orders results by job index.
+//! assembles the results into a structured report. The `fireguard` CLI
+//! dispatches through the [`FIGURES`] registry; the output is independent
+//! of the worker count, because the sweep engine re-orders results by job
+//! index.
 
 use fireguard_boom::BoomConfig;
 use fireguard_core::FilterConfig;
@@ -42,7 +41,7 @@ pub struct FigOpts {
 
 impl FigOpts {
     /// Reads the environment configuration (`FG_INSTS`, `FG_QUICK`,
-    /// `FG_JOBS`, `FG_PIPELINE`) exactly as the legacy binaries do.
+    /// `FG_JOBS`, `FG_PIPELINE`).
     pub fn from_env() -> FigOpts {
         FigOpts {
             insts: crate::insts(),
@@ -66,7 +65,7 @@ impl FigOpts {
 pub struct Figure {
     /// Canonical CLI subcommand name (kebab-case).
     pub name: &'static str,
-    /// Legacy binary name (snake_case; equals `name` for most figures).
+    /// Snake-case alias (equals `name` for most figures).
     pub bin: &'static str,
     /// One-line description for `fireguard list`.
     pub summary: &'static str,
@@ -144,23 +143,9 @@ pub const FIGURES: &[Figure] = &[
     },
 ];
 
-/// Looks a figure up by CLI name or legacy binary name.
+/// Looks a figure up by CLI name or its snake-case alias.
 pub fn find(name: &str) -> Option<&'static Figure> {
     FIGURES.iter().find(|f| f.name == name || f.bin == name)
-}
-
-/// Entry point for the legacy per-figure binaries: read the environment,
-/// run the named figure, and print it human-formatted to stdout.
-///
-/// # Panics
-///
-/// Panics if `bin` is not in the registry or stdout writing fails.
-pub fn run_bin(bin: &str) {
-    let fig = find(bin).unwrap_or_else(|| panic!("unknown figure binary {bin:?}"));
-    let report = (fig.run)(&FigOpts::from_env());
-    let stdout = std::io::stdout();
-    fireguard_soc::render(&report, fireguard_soc::Format::Human, &mut stdout.lock())
-        .expect("writing the report to stdout failed");
 }
 
 fn fg(o: &FigOpts, w: &str, kind: KernelId, ucores: usize) -> JobSpec {
@@ -777,7 +762,7 @@ mod tests {
         assert_eq!(FIGURES.len(), 11);
         assert!(find("fig7a").is_some());
         assert!(find("isax-ablation").is_some(), "kebab CLI name resolves");
-        assert!(find("isax_ablation").is_some(), "legacy bin name resolves");
+        assert!(find("isax_ablation").is_some(), "snake-case alias resolves");
         assert!(find("fig99").is_none());
     }
 

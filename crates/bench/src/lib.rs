@@ -1,6 +1,5 @@
-//! Shared harness for the figure/table reproduction: environment-variable
-//! configuration plus the [`figures`] drivers that both the legacy
-//! per-figure binaries and the unified `fireguard` CLI dispatch into.
+//! Figure/table reproduction: environment-variable configuration plus the
+//! [`figures`] drivers that the `fireguard` CLI dispatches into.
 //!
 //! Every entry point honours three environment variables:
 //!
@@ -16,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod perf;
 
 /// Instructions for a smoke (`FG_QUICK`) run.
 pub const QUICK_INSTS: u64 = 30_000;

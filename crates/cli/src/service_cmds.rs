@@ -391,6 +391,21 @@ pub fn client_report(p: &Parsed) -> Result<Report, String> {
 
 // ---- loadgen ---------------------------------------------------------------
 
+/// The throughput cells: `events/s` at integer precision, `ns/event` at
+/// one decimal.
+fn throughput_cells(events_per_sec: f64, ns_per_event: f64) -> [Cell; 2] {
+    [
+        Cell::Float {
+            v: events_per_sec,
+            prec: 0,
+        },
+        Cell::Float {
+            v: ns_per_event,
+            prec: 1,
+        },
+    ]
+}
+
 pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
     let path = p
         .trace_file
@@ -488,9 +503,7 @@ pub fn loadgen_report(p: &Parsed) -> Result<Report, String> {
         }
     }
     r.blank();
-    // Throughput cells shared with `fireguard bench` (same precision and
-    // units), so service and simulator numbers read identically.
-    let [eps, nspe] = fireguard_bench::perf::throughput_cells(
+    let [eps, nspe] = throughput_cells(
         agg.events_per_sec,
         if agg.events_per_sec > 0.0 {
             1e9 / agg.events_per_sec

@@ -1,11 +1,11 @@
 //! End-to-end tests for the `fireguard` binary.
 //!
-//! The golden anchor is shared with `crates/bench/tests/smoke.rs`: both
-//! the legacy per-figure binaries and `fireguard <figure>` must print
-//! exactly what the in-process figure driver renders, so the two suites
-//! together prove CLI output == legacy-binary output, byte for byte.
+//! The golden anchor: every `fireguard <figure>` must print exactly what
+//! its in-process figure driver renders, byte for byte, at a tiny
+//! instruction budget — which also smoke-tests every figure's experiment
+//! wiring on a plain `cargo test`.
 
-use fireguard_bench::figures::{find, FigOpts};
+use fireguard_bench::figures::{FigOpts, FIGURES};
 use fireguard_bench::SEED;
 use fireguard_soc::{render_to_string, Format};
 use std::process::{Command, Output};
@@ -55,16 +55,29 @@ fn list_names_every_figure() {
 
 #[test]
 fn figure_subcommand_matches_registry_driver() {
-    // The same golden anchor smoke.rs holds the legacy binaries to.
-    let out = stdout_of(&fireguard(&["fig7a", "--insts", "2000", "--jobs", "4"]));
+    // Workers differ on purpose: sweeps are re-ordered by job index, so
+    // the worker count must not change a byte.
     let opts = FigOpts {
         insts: SMOKE_INSTS,
         seed: SEED,
         workers: 2,
         pipeline: 1,
     };
-    let expected = render_to_string(&(find("fig7a").unwrap().run)(&opts), Format::Human);
-    assert_eq!(out, expected, "CLI fig7a diverged from the figure driver");
+    let insts = SMOKE_INSTS.to_string();
+    for fig in FIGURES {
+        let out = stdout_of(&fireguard(&[fig.name, "--insts", &insts, "--jobs", "4"]));
+        assert!(
+            out.lines().count() >= 3,
+            "{} produced suspiciously little output:\n{out}",
+            fig.name
+        );
+        let expected = render_to_string(&(fig.run)(&opts), Format::Human);
+        assert_eq!(
+            out, expected,
+            "CLI {} diverged from the figure driver",
+            fig.name
+        );
+    }
 }
 
 #[test]

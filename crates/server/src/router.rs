@@ -43,7 +43,7 @@ use crate::proto::{
     CAP_FRAME_CHECKSUM, END, ERROR, EVENTS, HELLO, RETRYABLE_ERROR_PREFIX, SESSION, SUMMARY,
 };
 use crate::ring::{mix, Ring, DEFAULT_REPLICAS};
-use crate::service::{fleet_samples, serve, ServeOptions, ServerHandle};
+use crate::service::{fleet_samples, serve, sever_live, LiveSessions, ServeOptions, ServerHandle};
 use fireguard_soc::Detection;
 use fireguard_telemetry::{Sample, TraceSink};
 use fireguard_trace::codec::{EventDecoder, EventEncoder};
@@ -713,10 +713,18 @@ impl RouterHandle {
         self.pool.shutdown();
     }
 
-    /// Requests a stop (no new connections; in-flight sessions finish)
-    /// and waits for the fleet to drain.
-    pub fn shutdown(self) {
+    /// Stops the router within a bound: no new connections, every live
+    /// client socket is severed, and each driver exits — a ticketed
+    /// session parks with its journal intact, so a later router can
+    /// resume it. Then tears the fleet down.
+    pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        // The accept loop registers each socket before its driver starts,
+        // so once it has exited the severing below reaches every one.
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+        sever_live(&self.shared.live);
         self.join();
     }
 }
@@ -725,6 +733,11 @@ impl RouterHandle {
 /// the accept loop hands each driver a single `Arc`.
 struct Shared {
     pool: Arc<BackendPool>,
+    /// Set by [`RouterHandle::shutdown`] (and at the end of `join`):
+    /// drivers stop waiting on backends and ghosts park.
+    stop: Arc<AtomicBool>,
+    /// Every connected client socket, so shutdown can sever them.
+    live: LiveSessions,
     table: SessionTable,
     stats: RouterStats,
     gauges: JournalGauges,
@@ -774,6 +787,8 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
     let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
     let shared = Arc::new(Shared {
         pool: Arc::clone(&pool),
+        stop: Arc::clone(&stop),
+        live: LiveSessions::default(),
         table: SessionTable::default(),
         stats: RouterStats::default(),
         gauges: JournalGauges::default(),
@@ -886,6 +901,10 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         accepted += 1;
+                        let id = accepted;
+                        if let Ok(dup) = stream.try_clone() {
+                            lock_recover(&shared.live).insert(id, dup);
+                        }
                         let shared = Arc::clone(&shared);
                         let h = std::thread::spawn(move || {
                             // A panicking driver must not take the router
@@ -895,6 +914,7 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
                                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                                     handle_conn(stream, &shared)
                                 }));
+                            lock_recover(&shared.live).remove(&id);
                             if caught.is_err() {
                                 if let Some(t) = shared.trace() {
                                     t.emit("router.panic", None, vec![("driver", 1u64.into())]);
@@ -1321,13 +1341,19 @@ fn drive_session(ctx: DriverCtx<'_>) {
                     }
                 }
             }
-            if Instant::now() >= deadline {
+            let stopping = shared.stop.load(Ordering::SeqCst);
+            if stopping || Instant::now() >= deadline {
+                let reason = if stopping {
+                    "router shutdown"
+                } else {
+                    "no live backends"
+                };
                 if ticketed {
-                    park("no live backends");
+                    park(reason);
                     let _ = client_reader.join();
                     return;
                 }
-                fatal(&mut writer, client_alive, "no live backends");
+                fatal(&mut writer, client_alive, reason);
                 shutdown_both(&client_stream);
                 let _ = client_reader.join();
                 return;
@@ -1449,9 +1475,9 @@ fn drive_session(ctx: DriverCtx<'_>) {
 
         loop {
             // A ghost driver (no client) yields to a resuming connection
-            // as soon as one asks — and after `ghost_linger` without one
-            // it parks the session: the backend is released, but the
-            // journaled state stays in the table for a later resume.
+            // as soon as one asks — and after `ghost_linger` without one,
+            // or at router shutdown, it parks the session: the backend is
+            // released, but the journaled state stays for a later resume.
             if !client_alive {
                 if ghost_since.is_none() {
                     ghost_since = Some(Instant::now());
@@ -1462,7 +1488,9 @@ fn drive_session(ctx: DriverCtx<'_>) {
                     detach(&session);
                     return;
                 }
-                if ghost_since.is_some_and(|t| t.elapsed() >= shared.ghost_linger) {
+                if shared.stop.load(Ordering::SeqCst)
+                    || ghost_since.is_some_and(|t| t.elapsed() >= shared.ghost_linger)
+                {
                     if let Some(t) = trace {
                         let buffered = lock_session(&session).journal.len();
                         t.emit(

@@ -119,8 +119,9 @@ pub struct ServerHandle {
 }
 
 /// Duplicated handles of every in-flight session socket, keyed by an
-/// accept-order id, so [`ServerHandle::abort`] can sever live sessions.
-type LiveSessions = Arc<Mutex<HashMap<u64, TcpStream>>>;
+/// accept-order id, so [`ServerHandle::abort`] (and the router's
+/// shutdown) can sever live sessions.
+pub(crate) type LiveSessions = Arc<Mutex<HashMap<u64, TcpStream>>>;
 
 impl ServerHandle {
     /// The actual bound address (resolves port 0).
@@ -199,7 +200,7 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-fn sever_live(live: &LiveSessions) {
+pub(crate) fn sever_live(live: &LiveSessions) {
     let streams: Vec<TcpStream> = {
         let mut map = lock_unpoisoned(live);
         map.drain().map(|(_, s)| s).collect()

@@ -296,10 +296,10 @@ pub fn run_fireguard(cfg: &ExperimentConfig) -> RunResult {
 }
 
 /// [`run_fireguard`] with the engine-counter snapshot and its
-/// `(slot, kernel)` labeling attached — the instrumented entry point the
-/// metrics plane and `bench --profile` share. The [`RunResult`] is
-/// byte-identical to the uninstrumented call: the snapshot is read after
-/// the run completes and reading mutates nothing.
+/// `(slot, kernel)` labeling attached — the instrumented entry point for
+/// a per-run counter breakdown. The [`RunResult`] is byte-identical to
+/// the uninstrumented call (pinned by `tests/telemetry.rs`): the snapshot
+/// is read after the run completes and reading mutates nothing.
 pub fn run_fireguard_telemetry(
     cfg: &ExperimentConfig,
 ) -> (

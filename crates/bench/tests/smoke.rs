@@ -1,80 +1,65 @@
-//! Smoke + parity tests for the figure/table binaries.
+//! Smoke + invariance tests for every figure/table driver.
 //!
-//! Each binary's full experiment takes minutes; these run the *same code
-//! paths* end-to-end at a tiny instruction budget (`FG_INSTS=2000`) so a
-//! plain `cargo test` catches panics, bad table plumbing, and experiment
-//! wiring regressions in every binary without the full workloads.
+//! Each figure's full experiment takes minutes; these run the *same code
+//! paths* end-to-end at a tiny instruction budget so a plain `cargo test`
+//! catches panics, bad table plumbing, and experiment wiring regressions
+//! in every driver without the full workloads.
 //!
-//! Beyond not crashing, every binary's stdout must be **byte-identical**
-//! to rendering the corresponding [`fireguard_bench::figures`] driver
-//! in-process: the binaries are thin shims over the figure registry, and
-//! this is what lets the `fireguard` CLI (which renders through the same
-//! registry) guarantee output parity with the legacy binaries.
-//!
-//! Cargo builds the bins automatically because the test references them via
-//! the `CARGO_BIN_EXE_<name>` environment variables.
+//! Beyond not crashing, every driver's rendered output must be
+//! **byte-identical** across worker counts and stage-pipeline widths: the
+//! sweep engine re-orders results by job index and the pipeline commits in
+//! sequence order, so neither may change a byte. Parity of the `fireguard`
+//! CLI with these drivers is checked in the CLI crate's own tests.
 
 use fireguard_bench::figures::{find, FigOpts};
 use fireguard_bench::SEED;
 use fireguard_soc::{render_to_string, Format};
-use std::process::Command;
 
 const SMOKE_INSTS: u64 = 2000;
 
-fn smoke(name: &str, bin_path: &str) {
-    let out = Command::new(bin_path)
-        .env("FG_INSTS", SMOKE_INSTS.to_string())
-        .env_remove("FG_QUICK")
-        .env_remove("FG_JOBS")
-        .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {bin_path}: {e}"));
-    assert!(
-        out.status.success(),
-        "{bin_path} exited with {:?}\nstderr:\n{}",
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        stdout.lines().count() >= 3,
-        "{bin_path} produced suspiciously little output:\n{stdout}"
-    );
-
-    // Parity: the binary must print exactly what the registry driver
-    // renders in-process (workers do not matter; sweeps are re-ordered).
+fn render(name: &str, workers: usize, pipeline: u32) -> String {
     let fig = find(name).unwrap_or_else(|| panic!("{name} not in the figure registry"));
     let opts = FigOpts {
         insts: SMOKE_INSTS,
         seed: SEED,
-        workers: 4,
-        pipeline: 1,
+        workers,
+        pipeline,
     };
-    let expected = render_to_string(&(fig.run)(&opts), Format::Human);
+    render_to_string(&(fig.run)(&opts), Format::Human)
+}
+
+fn smoke(name: &str) {
+    let serial = render(name, 1, 1);
+    assert!(
+        serial.lines().count() >= 3,
+        "{name} produced suspiciously little output:\n{serial}"
+    );
+    let parallel = render(name, 4, 2);
     assert_eq!(
-        stdout, expected,
-        "{bin_path} diverged from the in-process figure driver"
+        serial, parallel,
+        "{name}: worker count or pipeline width changed the output"
     );
 }
 
 macro_rules! smoke_tests {
-    ($($name:ident => $env:literal),+ $(,)?) => {$(
+    ($($name:ident),+ $(,)?) => {$(
         #[test]
         fn $name() {
-            smoke(stringify!($name).trim_end_matches("_smokes"), env!($env));
+            smoke(stringify!($name).trim_end_matches("_smokes"));
         }
     )+};
 }
 
 smoke_tests! {
-    fig7a_smokes => "CARGO_BIN_EXE_fig7a",
-    fig7b_smokes => "CARGO_BIN_EXE_fig7b",
-    fig8_smokes => "CARGO_BIN_EXE_fig8",
-    fig9_smokes => "CARGO_BIN_EXE_fig9",
-    fig10_smokes => "CARGO_BIN_EXE_fig10",
-    fig11_smokes => "CARGO_BIN_EXE_fig11",
-    table2_smokes => "CARGO_BIN_EXE_table2",
-    table3_smokes => "CARGO_BIN_EXE_table3",
-    area_smokes => "CARGO_BIN_EXE_area",
-    isax_ablation_smokes => "CARGO_BIN_EXE_isax_ablation",
-    mapper_ablation_smokes => "CARGO_BIN_EXE_mapper_ablation",
+    fig7a_smokes,
+    fig7b_smokes,
+    fig8_smokes,
+    fig9_smokes,
+    fig10_smokes,
+    fig11_smokes,
+    table2_smokes,
+    table3_smokes,
+    area_smokes,
+    isax_ablation_smokes,
+    mapper_ablation_smokes,
 }

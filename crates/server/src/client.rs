@@ -231,15 +231,19 @@ enum Attempt {
     Refused(String),
 }
 
-/// Capped exponential backoff with deterministic, seeded jitter: attempt
-/// `n` sleeps a uniform draw from `[cap/2, cap]` where
-/// `cap = min(5ms << n, 500ms)`. Seeding by `(session_id, attempt)` keeps
+/// Capped exponential backoff with deterministic, seeded jitter: after
+/// `streak` consecutive failed attempts the client sleeps a uniform draw
+/// from `[cap/2, cap]` where `cap = min(5ms << streak, 500ms)`. The streak
+/// restarts whenever a resume's ACK lands, so a session that makes
+/// progress between transport deaths keeps retrying fast, while one that
+/// cannot reach the router backs off to the cap. Seeding by
+/// `(session_id, attempt)`, where `attempt` counts every reconnect, keeps
 /// chaos runs reproducible while decorrelating concurrent sessions (no
 /// thundering herd on a router restart).
-fn reconnect_backoff(session_id: u64, attempt: u32) -> Duration {
+fn reconnect_backoff(session_id: u64, attempt: u32, streak: u32) -> Duration {
     const BASE_MS: u64 = 5;
     const CAP_MS: u64 = 500;
-    let cap = BASE_MS.checked_shl(attempt).unwrap_or(CAP_MS).min(CAP_MS);
+    let cap = BASE_MS.checked_shl(streak).unwrap_or(CAP_MS).min(CAP_MS);
     let mut rng =
         SimRng::seed_from_u64(session_id ^ (u64::from(attempt) << 32) ^ 0xBAC0_FF5E_0DE1_A75D);
     Duration::from_millis(rng.range_u64(cap / 2, cap + 1))
@@ -278,7 +282,13 @@ pub fn run_routed_session(
 
     let mut alarms: Vec<Detection> = Vec::new();
     let mut reconnects = 0u32;
+    // Consecutive failed attempts since the last resume's ACK: the
+    // backoff exponent.
+    let mut streak = 0u32;
     let mut first = true;
+    // A fresh re-open happened, so an earlier registration may still be
+    // in flight.
+    let mut reopened = false;
     // Recovery-latency clock: set when a transport dies, cleared when a
     // resume's ACK lands — the gap is one reconnect latency sample.
     let mut disconnected_at: Option<Instant> = None;
@@ -295,6 +305,9 @@ pub fn run_routed_session(
             &mut alarms,
             &mut resumed_at,
         );
+        if resumed_at.is_some() {
+            streak = 0;
+        }
         if let (Some(death), Some(ack)) = (disconnected_at, resumed_at) {
             reconnect_latencies.push(ack.saturating_duration_since(death));
             disconnected_at = None;
@@ -320,13 +333,21 @@ pub fn run_routed_session(
                 // delivered yet, means the *registration* was lost on the
                 // wire (the opening SESSION+HELLO never survived to the
                 // router). Nothing observable happened: start over fresh.
-                if !first && alarms.is_empty() && msg.starts_with("unknown session id") {
+                let lost = !first && alarms.is_empty() && msg.starts_with("unknown session id");
+                // Or it was only late: an earlier registration of ours
+                // reached the router after the resume that found nothing,
+                // so the fresh re-open collides with our own session
+                // (ids are fleet-unique). Resume it instead.
+                let late = first && reopened && msg.ends_with("already registered");
+                if lost || late {
                     if reconnects >= opts.max_reconnects {
                         return Err(ClientError::Server(msg));
                     }
-                    first = true;
+                    first = lost;
+                    reopened |= lost;
                     reconnects += 1;
-                    std::thread::sleep(reconnect_backoff(opts.session_id, reconnects));
+                    streak += 1;
+                    std::thread::sleep(reconnect_backoff(opts.session_id, reconnects, streak));
                     continue;
                 }
                 return Err(ClientError::Server(msg));
@@ -341,7 +362,8 @@ pub fn run_routed_session(
                     )));
                 }
                 reconnects += 1;
-                std::thread::sleep(reconnect_backoff(opts.session_id, reconnects));
+                streak += 1;
+                std::thread::sleep(reconnect_backoff(opts.session_id, reconnects, streak));
             }
             Ok(Attempt::Retry) => {
                 first = false;
@@ -352,8 +374,9 @@ pub fn run_routed_session(
                     )));
                 }
                 reconnects += 1;
+                streak += 1;
                 disconnected_at.get_or_insert_with(Instant::now);
-                std::thread::sleep(reconnect_backoff(opts.session_id, reconnects));
+                std::thread::sleep(reconnect_backoff(opts.session_id, reconnects, streak));
             }
             Err(e) => {
                 // Connect-level failures are retryable too (the router
@@ -364,8 +387,9 @@ pub fn run_routed_session(
                     return Err(e);
                 }
                 reconnects += 1;
+                streak += 1;
                 disconnected_at.get_or_insert_with(Instant::now);
-                std::thread::sleep(reconnect_backoff(opts.session_id, reconnects));
+                std::thread::sleep(reconnect_backoff(opts.session_id, reconnects, streak));
             }
         }
     }
@@ -510,4 +534,52 @@ fn lock_writer(
     w: &Mutex<FrameWriter<BufWriter<TcpStream>>>,
 ) -> std::sync::MutexGuard<'_, FrameWriter<BufWriter<TcpStream>>> {
     w.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{write_frame, ERROR, SESSION};
+    use fireguard_soc::{ExperimentConfig, KernelId};
+    use std::net::TcpListener;
+
+    /// A registration that reaches the router after the resume that
+    /// looked for it: the resume draws "unknown session id", the fresh
+    /// re-open then collides with the late registration, and the client
+    /// must resume its own session rather than give up. A scripted router
+    /// plays the four connections.
+    #[test]
+    fn late_registration_is_resumed_not_refused() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let router = std::thread::spawn(move || {
+            let replies = [
+                None, // the first connection dies after its handshake
+                Some("unknown session id 8"),
+                Some("session id 8 already registered"),
+                Some("stop here"),
+            ];
+            let mut resumes = Vec::new();
+            for reply in replies {
+                let (s, _) = listener.accept().expect("accept");
+                let mut r = FrameReader::new(BufReader::new(s.try_clone().expect("clone")), false);
+                let (tag, payload) = r.read().expect("frame").expect("ticket");
+                assert_eq!(tag, SESSION);
+                resumes.push(SessionTicket::decode(&payload).expect("ticket").resume);
+                if let Some(msg) = reply {
+                    write_frame(&mut &s, ERROR, msg.as_bytes()).expect("reply");
+                }
+            }
+            resumes
+        });
+        let exp = ExperimentConfig::new("ferret").kernel(KernelId::SHADOW_STACK, 4);
+        let cfg = SessionConfig::from_experiment(&exp, 0);
+        let err = run_routed_session(&addr, &cfg, Arc::new(Vec::new()), RoutedOptions::new(8))
+            .expect_err("the scripted router never finishes a session");
+        assert!(
+            matches!(&err, ClientError::Server(m) if m == "stop here"),
+            "{err}"
+        );
+        assert_eq!(router.join().expect("router"), [false, true, false, true]);
+    }
 }

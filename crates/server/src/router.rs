@@ -45,7 +45,7 @@ use crate::proto::{
 use crate::ring::{mix, Ring, DEFAULT_REPLICAS};
 use crate::service::{fleet_samples, serve, sever_live, LiveSessions, ServeOptions, ServerHandle};
 use fireguard_soc::Detection;
-use fireguard_telemetry::{Sample, TraceSink};
+use fireguard_telemetry::{FieldVal, Sample, TraceSink};
 use fireguard_trace::codec::{EventDecoder, EventEncoder};
 use fireguard_trace::TraceInst;
 use std::collections::HashMap;
@@ -753,8 +753,36 @@ struct Shared {
 }
 
 impl Shared {
-    fn trace(&self) -> Option<&TraceSink> {
-        self.trace.as_deref()
+    fn new(opts: &RouterOptions, pool: Arc<BackendPool>) -> Self {
+        Shared {
+            pool,
+            stop: Arc::new(AtomicBool::new(false)),
+            live: LiveSessions::default(),
+            table: SessionTable::default(),
+            stats: RouterStats::default(),
+            gauges: JournalGauges::default(),
+            anon_ids: AtomicU64::new(0),
+            drop_after: opts.drop_client_after_acks,
+            trace: opts.trace.clone(),
+            idle_timeout: opts.idle_timeout.max(Duration::from_millis(10)),
+            ghost_linger: opts.ghost_linger.max(Duration::from_millis(10)),
+            max_live_sessions: opts.max_live_sessions,
+            max_buffered_bytes: opts.max_buffered_bytes,
+            journal_dir: opts.journal_dir.clone(),
+            journal_tail: opts.journal_tail,
+        }
+    }
+
+    /// Emits span `name` when tracing is on; `fields` is built only then.
+    fn span(
+        &self,
+        name: &'static str,
+        key: Option<u64>,
+        fields: impl FnOnce() -> Vec<(&'static str, FieldVal)>,
+    ) {
+        if let Some(t) = &self.trace {
+            t.emit(name, key, fields());
+        }
     }
 
     /// Opens the journal for a new session (`name` keys the durable
@@ -783,25 +811,9 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
     listener.set_nonblocking(true)?;
 
     let pool = Arc::new(BackendPool::build(&opts)?);
-    let stop = Arc::new(AtomicBool::new(false));
     let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let shared = Arc::new(Shared {
-        pool: Arc::clone(&pool),
-        stop: Arc::clone(&stop),
-        live: LiveSessions::default(),
-        table: SessionTable::default(),
-        stats: RouterStats::default(),
-        gauges: JournalGauges::default(),
-        anon_ids: AtomicU64::new(0),
-        drop_after: opts.drop_client_after_acks,
-        trace: opts.trace.clone(),
-        idle_timeout: opts.idle_timeout.max(Duration::from_millis(10)),
-        ghost_linger: opts.ghost_linger.max(Duration::from_millis(10)),
-        max_live_sessions: opts.max_live_sessions,
-        max_buffered_bytes: opts.max_buffered_bytes,
-        journal_dir: opts.journal_dir.clone(),
-        journal_tail: opts.journal_tail,
-    });
+    let shared = Arc::new(Shared::new(&opts, Arc::clone(&pool)));
+    let stop = Arc::clone(&shared.stop);
 
     // Crash recovery: rebuild the session table from the journals a
     // previous router process left in the durable directory. Each
@@ -811,16 +823,12 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
         if let Some(dir) = &shared.journal_dir {
             if dir.is_dir() {
                 for r in recover_journals(dir, shared.journal_tail, &shared.gauges)? {
-                    if let Some(t) = shared.trace() {
-                        t.emit(
-                            "router.recover",
-                            Some(mix(r.id)),
-                            vec![
-                                ("events", r.journal.len().into()),
-                                ("alarms", (r.alarms.len() as u64).into()),
-                            ],
-                        );
-                    }
+                    shared.span("router.recover", Some(mix(r.id)), || {
+                        vec![
+                            ("events", r.journal.len().into()),
+                            ("alarms", (r.alarms.len() as u64).into()),
+                        ]
+                    });
                     let buf = SessionBuf {
                         hello: r.hello,
                         journal: r.journal,
@@ -916,9 +924,7 @@ pub fn route(opts: RouterOptions) -> std::io::Result<RouterHandle> {
                                 }));
                             lock_recover(&shared.live).remove(&id);
                             if caught.is_err() {
-                                if let Some(t) = shared.trace() {
-                                    t.emit("router.panic", None, vec![("driver", 1u64.into())]);
-                                }
+                                shared.span("router.panic", None, || vec![("driver", 1u64.into())]);
                             }
                         });
                         lock_recover(&conns).push(h);
@@ -958,6 +964,8 @@ enum Msg {
     Backend(u64, u8, Vec<u8>),
     /// Backend incarnation `inc`'s transport ended.
     BackendGone(u64),
+    /// Nothing arrived within the driver's wait budget.
+    Idle,
 }
 
 fn send_client<W: Write>(w: &mut FrameWriter<W>, tag: u8, payload: &[u8]) -> bool {
@@ -1008,9 +1016,7 @@ fn admit_fresh(shared: &Shared, live: u64) -> Result<(), String> {
 
 fn shed(shared: &Shared, writer: &mut FrameWriter<BufWriter<TcpStream>>, reason: &str) {
     shared.stats.shed.fetch_add(1, Ordering::Relaxed);
-    if let Some(t) = shared.trace() {
-        t.emit("router.shed", None, vec![("reason", reason.into())]);
-    }
+    shared.span("router.shed", None, || vec![("reason", reason.into())]);
     let _ = writer.write(BUSY, reason.as_bytes());
     let _ = writer.flush();
 }
@@ -1119,51 +1125,8 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
     reader.set_checked(checked);
     writer.set_checked(checked);
 
-    // Resume preamble: ACK where the replay starts and re-deliver the
-    // alarm tail the client missed. If the session already finished
-    // while the client was away, serve it entirely from the buffer.
-    if let Some(alarms_received) = resume_from {
-        shared.stats.resumes.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = shared.trace() {
-            t.emit(
-                "router.resume",
-                Some(key),
-                vec![("alarms_received", alarms_received.into())],
-            );
-        }
-        let (ack, tail, finished) = {
-            let s = lock_session(&session);
-            let from = (alarms_received as usize).min(s.alarms.len());
-            (
-                proto::encode_ack(s.journal.len()),
-                s.alarms[from..].to_vec(),
-                s.done(),
-            )
-        };
-        let mut ok = send_client(&mut writer, ACK, &ack);
-        if ok && !tail.is_empty() {
-            ok = send_client(&mut writer, ALARMS, &proto::encode_alarms(&tail));
-        }
-        if !ok {
-            detach(&session);
-            return;
-        }
-        if finished {
-            finish_from_buffer(&stream, reader, writer, &session, &shared.table);
-            return;
-        }
-    }
-
-    drive_session(DriverCtx {
-        client_stream: stream,
-        reader,
-        writer,
-        key,
-        session,
-        ticketed,
-        checked,
-        shared,
-    });
+    let d = Driver::new(shared, session, key, ticketed, checked);
+    run_driver(d, stream, reader, writer, resume_from);
 }
 
 /// Attaches to an existing session for resume, asking a ghost driver to
@@ -1199,894 +1162,794 @@ fn detach(session: &SessionRef) {
     lock_session(session).attached = false;
 }
 
-fn shutdown_both(stream: &TcpStream) {
-    let _ = stream.shutdown(Shutdown::Both);
+// ---- session driver: the state machine -------------------------------------
+
+/// A connection leg as the driver writes it: a frame sink that can also
+/// be shut mid-session — the backend leg half-closes once the backend
+/// has said its verdict, and the `drop_client_after_acks` fault
+/// injection cuts the client leg.
+trait Leg: Write {
+    fn shut(&self, how: Shutdown);
 }
 
-/// Everything one session driver needs.
-struct DriverCtx<'a> {
+impl Leg for BufWriter<TcpStream> {
+    fn shut(&self, how: Shutdown) {
+        let _ = self.get_ref().shutdown(how);
+    }
+}
+
+/// What the socket shell does after one [`Driver`] transition.
+#[derive(Debug, PartialEq)]
+enum Next {
+    /// Keep pumping the inbox.
+    Continue,
+    /// The client leg is damaged and the driver went ghost: sever the leg
+    /// quietly (the client resumes from its last ACK) and keep driving
+    /// the backend. Carries the fault for the `router.client_fault` span.
+    Ghost(String),
+    /// The backend leg failed: release this incarnation and replay the
+    /// journal to a fresh one. Carries the cause for the
+    /// `router.failover` span.
+    Failover(&'static str),
+    /// The session leaves this driver.
+    End(End),
+}
+
+/// How a session leaves its driver. The shell's teardown matches on this
+/// in exactly one place.
+#[derive(Debug, PartialEq)]
+enum End {
+    /// The verdict is out: half-close the client leg, drain it for the
+    /// terminal ACK, and forget the session only if that ACK arrived.
+    Finished,
+    /// Trouble that proves nothing about the session: sever the client
+    /// quietly, keep journal and table entry for the next resume.
+    Park(&'static str),
+    /// Unrecoverable: record the error verdict, send it to a live client,
+    /// forget the session.
+    Fatal(String),
+    /// Let go and keep the table entry: a resuming connection takes the
+    /// session over.
+    HandOver,
+    /// The client left a session that needs nothing more from it: let go
+    /// and forget it.
+    Detached,
+}
+
+/// One session's driver: pumps client frames into the session journal
+/// and backend frames out to the client across backend incarnations.
+/// [`Driver::on`] is its one transition function and touches no socket
+/// (ARCHITECTURE.md, "Session driver", has the diagram):
+///
+/// ```text
+/// Live   client-leg fault or hangup, ticketed   → Ghost (keeps driving the backend)
+/// Live   client-leg fault, anonymous            → End::Fatal
+/// Live   hangup, anonymous or verdict out       → End::Detached
+/// Live   idle wedge                             → End::Park | End::Fatal
+/// any    backend leg fails                      → Failover (replay, same state)
+/// any    backend closes after the verdict       → End::Finished
+/// Ghost  takeover by a resume                   → End::HandOver
+/// Ghost  linger spent, router shutdown          → End::Park
+/// ```
+struct Driver<'a> {
+    shared: &'a Shared,
+    session: SessionRef,
+    /// Consistent-hash key; also keys the driver's spans.
+    key: u64,
+    /// Ticketed sessions can resume, anonymous ones cannot: the two
+    /// router columns of the fault matrix.
+    ticketed: bool,
+    /// Both legs speak the checked framing the HELLO negotiated.
+    checked: bool,
+    /// When the client leg died; `None` while it lives. A ghost keeps
+    /// driving the backend so already-streamed events still yield their
+    /// detections, until a resume takes over, `ghost_linger` runs out,
+    /// or the router stops.
+    ghost_since: Option<Instant>,
+    /// ACKs sent on this connection (the fault injection counts them).
+    acks_sent: u64,
+    /// The client confirmed the verdict arrived (terminal ACK). A
+    /// successful SUMMARY write through a faulting wire proves nothing;
+    /// only this flag (or the same frame surfacing in the teardown's
+    /// drain) lets a finished ticketed session be forgotten.
+    verdict_acked: bool,
+    /// Client-leg decoder and backend-leg encoder: codec state is per
+    /// connection, so the encoder restarts with every incarnation.
+    dec: EventDecoder,
+    enc: EventEncoder,
+    /// Backend incarnation; frames from older ones are stale.
+    inc: u64,
+    /// Failovers since the last decoded backend frame.
+    failovers: u32,
+    /// Alarms this incarnation has reported; the first `alarms.len()` of
+    /// them are deterministic repeats of the log.
+    seen: u64,
+    /// A SUMMARY is held back until the backend closes cleanly: a summary
+    /// chased by a retryable stream error is a *partial* result from a
+    /// damaged backend leg and must never reach the client — failover
+    /// replays and produces the real one.
+    pending_summary: Option<Vec<u8>>,
+    /// END already went to this incarnation.
+    end_sent: bool,
+}
+
+impl<'a> Driver<'a> {
+    fn new(
+        shared: &'a Shared,
+        session: SessionRef,
+        key: u64,
+        ticketed: bool,
+        checked: bool,
+    ) -> Self {
+        Driver {
+            shared,
+            session,
+            key,
+            ticketed,
+            checked,
+            ghost_since: None,
+            acks_sent: 0,
+            verdict_acked: false,
+            dec: EventDecoder::new(),
+            enc: EventEncoder::new(),
+            inc: 0,
+            failovers: 0,
+            seen: 0,
+            pending_summary: None,
+            end_sent: false,
+        }
+    }
+
+    fn client_alive(&self) -> bool {
+        self.ghost_since.is_none()
+    }
+
+    fn go_ghost(&mut self) {
+        self.ghost_since.get_or_insert_with(Instant::now);
+    }
+
+    fn done(&self) -> bool {
+        lock_session(&self.session).done()
+    }
+
+    fn buffered(&self) -> u64 {
+        lock_session(&self.session).journal.len()
+    }
+
+    fn span(&self, name: &'static str, fields: impl FnOnce() -> Vec<(&'static str, FieldVal)>) {
+        self.shared.span(name, Some(self.key), fields);
+    }
+
+    /// How long the shell waits on the inbox before feeding [`Msg::Idle`]:
+    /// twice the per-read idle budget while the client lives (both legs
+    /// must be silent that long before the session counts as wedged), a
+    /// short tick while a ghost re-checks takeover and linger.
+    fn wait(&self) -> Duration {
+        if self.client_alive() {
+            self.shared.idle_timeout * 2
+        } else {
+            Duration::from_millis(25)
+        }
+    }
+
+    /// Sends one frame to a live client; a failed write loses the client.
+    fn tell_client<C: Leg>(&mut self, client: &mut FrameWriter<C>, tag: u8, payload: &[u8]) {
+        if self.client_alive() && !send_client(client, tag, payload) {
+            self.go_ghost();
+        }
+    }
+
+    /// Fault matrix, infrastructure rows (no routable backend, failover
+    /// budget spent, idle wedge): a sick fleet moment proves nothing about
+    /// a ticketed session, whose journal is intact, so it parks until the
+    /// next resume; an anonymous session cannot resume and fails with
+    /// `msg`.
+    fn infra_fault(&self, reason: &'static str, msg: &str) -> End {
+        if self.ticketed {
+            End::Park(reason)
+        } else {
+            End::Fatal(msg.to_owned())
+        }
+    }
+
+    /// Fault matrix, client-leg rows (undecodable EVENTS, seq gap,
+    /// unexpected tag, wire damage): the damage proves nothing about who
+    /// lied, so a ticketed session goes ghost and its client resumes; an
+    /// anonymous one fails with `{prefix}{detail}`.
+    fn client_fault(&mut self, detail: String, prefix: &str) -> Next {
+        if !self.ticketed {
+            return Next::End(End::Fatal(format!("{prefix}{detail}")));
+        }
+        self.go_ghost();
+        Next::Ghost(detail)
+    }
+
+    /// Backend-leg damage: the deterministic engines re-raise everything
+    /// on replay, so log it and fail over.
+    fn backend_fault(&self, error: String, reason: &'static str) -> Next {
+        self.span("router.backend_fault", || vec![("error", error.into())]);
+        Next::Failover(reason)
+    }
+
+    /// The resume preamble: ACK where the replay starts and re-deliver the
+    /// alarm tail the client missed. `Some` when the connection ends here:
+    /// the preamble write failed, or the session finished while the client
+    /// was away and its stored verdict was re-sent from the buffer.
+    fn resume<C: Leg>(&mut self, alarms_received: u64, client: &mut FrameWriter<C>) -> Option<End> {
+        self.shared.stats.resumes.fetch_add(1, Ordering::Relaxed);
+        self.span("router.resume", || {
+            vec![("alarms_received", alarms_received.into())]
+        });
+        let (ack, tail, verdict) = {
+            let s = lock_session(&self.session);
+            let from = (alarms_received as usize).min(s.alarms.len());
+            (
+                proto::encode_ack(s.journal.len()),
+                s.alarms[from..].to_vec(),
+                s.done().then(|| (s.summary.clone(), s.error.clone())),
+            )
+        };
+        let mut ok = send_client(client, ACK, &ack);
+        if ok && !tail.is_empty() {
+            ok = send_client(client, ALARMS, &proto::encode_alarms(&tail));
+        }
+        if !ok {
+            return Some(End::HandOver);
+        }
+        let (summary, error) = verdict?;
+        for (tag, payload) in [(SUMMARY, summary), (ERROR, error)] {
+            if let Some(p) = payload {
+                self.tell_client(client, tag, &p);
+            }
+        }
+        Some(End::Finished)
+    }
+
+    /// Starts the next backend incarnation with fresh per-incarnation
+    /// state; returns the number the shell tags its inbox messages with.
+    fn incarnate(&mut self) -> u64 {
+        self.inc += 1;
+        self.enc = EventEncoder::new();
+        self.end_sent = false;
+        self.seen = 0;
+        self.pending_summary = None;
+        self.inc
+    }
+
+    /// Replays the journaled prefix to a fresh incarnation. The HELLO is
+    /// plain — checked framing starts after it, per the handshake
+    /// contract — and spilled batches are decoded from disk and
+    /// re-encoded so the backend sees one continuous delta stream.
+    fn replay<B: Leg>(&mut self, backend: &mut FrameWriter<B>) -> Next {
+        let mut s = lock_session(&self.session);
+        let mut ok = backend.write(HELLO, &s.hello).is_ok();
+        backend.set_checked(self.checked);
+        if ok {
+            let enc = &mut self.enc;
+            ok = s
+                .journal
+                .replay(|chunk| {
+                    for part in chunk.chunks(REPLAY_BATCH) {
+                        backend.write(EVENTS, &enc.encode_batch(part))?;
+                    }
+                    Ok(())
+                })
+                .is_ok();
+        }
+        if ok && s.ended {
+            ok = backend.write(END, &[]).is_ok();
+            self.end_sent = true;
+        }
+        if ok && backend.flush().is_ok() {
+            Next::Continue
+        } else {
+            Next::Failover("replay failed")
+        }
+    }
+
+    /// The transition function: one inbox message in, one [`Next`] out.
+    /// Frames go to the two legs; the shell performs what `Next` names.
+    fn on<C: Leg, B: Leg>(
+        &mut self,
+        msg: Msg,
+        client: &mut FrameWriter<C>,
+        backend: &mut FrameWriter<B>,
+    ) -> Next {
+        if let Some(since) = self.ghost_since {
+            // A ghost yields to a resuming connection as soon as one asks;
+            // past `ghost_linger`, or at router shutdown, it parks: the
+            // backend is released, the journaled state stays for a resume.
+            if lock_session(&self.session).takeover {
+                return Next::End(End::HandOver);
+            }
+            if self.shared.stop.load(Ordering::SeqCst) {
+                return Next::End(End::Park("router shutdown"));
+            }
+            if since.elapsed() >= self.shared.ghost_linger {
+                return Next::End(End::Park("ghost linger"));
+            }
+            // Frames from a severed client leg are untrustworthy; drop
+            // them and let the resume re-deliver.
+            if matches!(
+                msg,
+                Msg::Idle | Msg::Client(..) | Msg::ClientBad(_) | Msg::ClientGone
+            ) {
+                return Next::Continue;
+            }
+        }
+        match msg {
+            // Neither client nor backend frames for the full budget: the
+            // session is wedged (a resume un-wedges both legs).
+            Msg::Idle => Next::End(
+                self.infra_fault("router session idle timeout", "router session idle timeout"),
+            ),
+            Msg::Client(EVENTS, payload) => self.on_events(&payload, client, backend),
+            Msg::Client(END, _) => {
+                {
+                    let mut s = lock_session(&self.session);
+                    s.ended = true;
+                    let _ = s.journal.record_ended();
+                }
+                if self.end_sent {
+                    return Next::Continue;
+                }
+                self.end_sent = true;
+                match backend.write(END, &[]).and_then(|()| backend.flush()) {
+                    Ok(()) => Next::Continue,
+                    Err(_) => Next::Failover("backend write failed"),
+                }
+            }
+            Msg::Client(ACK, _) => {
+                // The client's terminal delivery ACK — the verdict made it
+                // across the wire. (Early or duplicated ACKs are harmless:
+                // the flag only matters once the session is done.)
+                self.verdict_acked = true;
+                Next::Continue
+            }
+            // An impossible tag on a negotiated connection is wire damage.
+            Msg::Client(tag, _) => self.client_fault(format!("unexpected frame tag {tag}"), ""),
+            // A finished ticketed session: trailing garbage is
+            // indistinguishable from a hangup, and a finished journal must
+            // never grow an error record.
+            Msg::ClientBad(_) if self.ticketed && self.done() => Next::End(End::Detached),
+            Msg::ClientBad(e) => self.client_fault(e, "bad frame: "),
+            Msg::ClientGone => {
+                // Anonymous sessions cannot resume; done sessions need
+                // nothing more from a client.
+                if !self.ticketed || self.done() {
+                    return Next::End(End::Detached);
+                }
+                self.go_ghost();
+                self.span("router.ghost", || {
+                    vec![("events_buffered", self.buffered().into())]
+                });
+                Next::Continue
+            }
+            Msg::Backend(i, ..) | Msg::BackendGone(i) if i != self.inc => Next::Continue,
+            Msg::Backend(_, ALARMS, payload) => self.on_alarms(&payload, client),
+            Msg::Backend(_, SUMMARY, payload) => {
+                self.failovers = 0;
+                self.pending_summary = Some(payload);
+                // The backend is draining toward close; shut our write side
+                // so its drain sees EOF *now* instead of waiting out its
+                // read timeout. A trailing ERROR (if any) was written before
+                // the drain began and still arrives.
+                backend.get_mut().shut(Shutdown::Write);
+                Next::Continue
+            }
+            Msg::Backend(_, ERROR, payload) => self.on_backend_error(payload, client, backend),
+            Msg::Backend(_, tag, _) => self.backend_fault(
+                format!("unexpected frame tag {tag}"),
+                "unexpected backend frame",
+            ),
+            Msg::BackendGone(_) => {
+                // A clean close commits the held summary: the backend said
+                // everything it meant to. Without a verdict it died
+                // mid-session: fail over and replay.
+                self.commit_summary(client);
+                if self.done() {
+                    Next::End(End::Finished)
+                } else {
+                    Next::Failover("backend gone")
+                }
+            }
+        }
+    }
+
+    fn on_events<C: Leg, B: Leg>(
+        &mut self,
+        payload: &[u8],
+        client: &mut FrameWriter<C>,
+        backend: &mut FrameWriter<B>,
+    ) -> Next {
+        let batch = match self.dec.decode_batch(payload) {
+            Ok(b) => b,
+            Err(e) => return self.client_fault(e.to_string(), "bad EVENTS frame: "),
+        };
+        // Append fresh events; silently drop the resume overlap (seqs
+        // already journaled). A gap means the wire dropped something.
+        let mut fresh: Vec<TraceInst> = Vec::new();
+        let mut gap = None;
+        {
+            let mut s = lock_session(&self.session);
+            for t in batch {
+                let n = s.journal.len();
+                if t.seq < n {
+                    continue;
+                }
+                if t.seq > n {
+                    gap = Some((t.seq, n));
+                    break;
+                }
+                if let Err(e) = s.journal.push(t) {
+                    return Next::End(End::Fatal(format!("session journal write failed: {e}")));
+                }
+                fresh.push(t);
+            }
+        }
+        let mut next = Next::Continue;
+        if let Some((got, want)) = gap {
+            next = self.client_fault(format!("event seq gap: got {got}, expected {want}"), "");
+            if matches!(next, Next::End(_)) {
+                return next;
+            }
+        }
+        if !fresh.is_empty() {
+            self.shared
+                .stats
+                .events
+                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
+            let sent = backend
+                .write(EVENTS, &self.enc.encode_batch(&fresh))
+                .and_then(|()| backend.flush());
+            // After a gap the ghost transition wins: a failed write means
+            // the backend connection is dead, so its reader reports
+            // BackendGone next and the failover follows from there.
+            if sent.is_err() && next == Next::Continue {
+                return Next::Failover("backend write failed");
+            }
+        }
+        if self.ticketed && self.client_alive() {
+            let buffered = self.buffered();
+            if send_client(client, ACK, &proto::encode_ack(buffered)) {
+                self.acks_sent += 1;
+                if self.shared.drop_after == Some(self.acks_sent) {
+                    // Fault injection: sever the client link abruptly; the
+                    // session state survives for resume.
+                    client.get_mut().shut(Shutdown::Both);
+                }
+            } else {
+                self.go_ghost();
+            }
+        }
+        next
+    }
+
+    fn on_alarms<C: Leg>(&mut self, payload: &[u8], client: &mut FrameWriter<C>) -> Next {
+        let ds = match proto::decode_alarms(payload) {
+            Ok(d) => d,
+            Err(e) => return self.backend_fault(format!("bad ALARMS: {e}"), "bad ALARMS"),
+        };
+        // A decoded ALARMS frame is a live round-trip: this incarnation
+        // connected, replayed, and spoke protocol. Reset the failover
+        // budget so it bounds consecutive *silent* failovers (a hot loop),
+        // not total failovers over a long session's lifetime.
+        self.failovers = 0;
+        // Deduplicate across failovers: analysis is deterministic, so a
+        // replayed incarnation re-raises the logged prefix bit-identically;
+        // only the tail past the log is new. Fresh alarms hit the durable
+        // index *before* they are released to the client, so a post-crash
+        // recovery never re-raises a delivered alarm out of order.
+        let mut fresh: Vec<Detection> = Vec::new();
+        {
+            let mut s = lock_session(&self.session);
+            for d in ds {
+                self.seen += 1;
+                if self.seen > s.alarms.len() as u64 {
+                    s.alarms.push(d);
+                    fresh.push(d);
+                }
+            }
+            if !fresh.is_empty() {
+                let _ = s.journal.record_alarms(&fresh);
+            }
+        }
+        if !fresh.is_empty() && self.client_alive() {
+            self.tell_client(client, ALARMS, &proto::encode_alarms(&fresh));
+        }
+        Next::Continue
+    }
+
+    fn on_backend_error<C: Leg, B: Leg>(
+        &mut self,
+        payload: Vec<u8>,
+        client: &mut FrameWriter<C>,
+        backend: &mut FrameWriter<B>,
+    ) -> Next {
+        if payload.starts_with(RETRYABLE_ERROR_PREFIX.as_bytes()) {
+            // The backend saw transport damage on our leg (corruption,
+            // truncation, a dropped frame). Its summary — if any — is
+            // partial: discard it and fail over; the replay heals.
+            let error = String::from_utf8_lossy(&payload).into_owned();
+            return self.backend_fault(error, "retryable backend error");
+        }
+        // Terminal error: commit the pending summary first (short-stream
+        // sessions send SUMMARY then ERROR), then the error itself.
+        self.commit_summary(client);
+        let had_summary = {
+            let mut s = lock_session(&self.session);
+            let had = s.summary.is_some();
+            s.set_error(payload.clone());
+            had
+        };
+        if !had_summary {
+            self.shared.stats.sessions.fetch_add(1, Ordering::Relaxed);
+        }
+        self.tell_client(client, ERROR, &payload);
+        backend.get_mut().shut(Shutdown::Write);
+        Next::Continue
+    }
+
+    fn commit_summary<C: Leg>(&mut self, client: &mut FrameWriter<C>) {
+        if let Some(p) = self.pending_summary.take() {
+            lock_session(&self.session).set_summary(p.clone());
+            self.shared.stats.sessions.fetch_add(1, Ordering::Relaxed);
+            self.tell_client(client, SUMMARY, &p);
+        }
+    }
+
+    /// Counts the failover the shell just performed on `slot`. Decoded
+    /// backend frames reset the count, so the budget bounds consecutive
+    /// silent failovers (a connect/replay hot loop); past it the session
+    /// leaves by the fault matrix's infrastructure row.
+    fn failed_over(&mut self, slot: usize, reason: &'static str) -> Option<End> {
+        self.shared.stats.failovers.fetch_add(1, Ordering::Relaxed);
+        self.failovers += 1;
+        self.span("router.failover", || {
+            vec![
+                ("slot", (slot as u64).into()),
+                ("nth", u64::from(self.failovers).into()),
+                ("reason", reason.into()),
+            ]
+        });
+        (self.failovers > MAX_FAILOVERS).then(|| {
+            self.infra_fault(
+                "failover budget exhausted",
+                "session failed over too many times",
+            )
+        })
+    }
+
+    /// The session half of the teardown for `end` — verdict record, ERROR
+    /// frame, park span, table entry, ownership. The shell wraps the
+    /// socket half around it.
+    fn settle<C: Leg>(&mut self, end: &End, client: &mut FrameWriter<C>) {
+        let shared = self.shared;
+        match end {
+            End::Finished | End::HandOver => {}
+            End::Park(reason) => {
+                self.span("router.park", || {
+                    vec![
+                        ("reason", (*reason).into()),
+                        ("events_buffered", self.buffered().into()),
+                    ]
+                });
+            }
+            End::Fatal(msg) => {
+                let first = {
+                    let mut s = lock_session(&self.session);
+                    let first = !s.done();
+                    if s.error.is_none() {
+                        s.set_error(msg.as_bytes().to_vec());
+                    }
+                    first
+                };
+                if first {
+                    shared.stats.sessions.fetch_add(1, Ordering::Relaxed);
+                }
+                if self.client_alive() {
+                    client_error(client, msg);
+                }
+                shared.table.forget(&self.session);
+            }
+            End::Detached => {
+                if self.ticketed {
+                    shared.table.forget(&self.session);
+                }
+            }
+        }
+        detach(&self.session);
+    }
+}
+
+// ---- session driver: the socket shell --------------------------------------
+
+/// Runs one session's [`Driver`] over real sockets: spawns the inbox
+/// readers, serves the resume preamble, routes, connects and replays each
+/// backend incarnation, feeds the inbox through [`Driver::on`], and tears
+/// the session down in one place.
+fn run_driver(
+    mut d: Driver<'_>,
     client_stream: TcpStream,
     reader: FrameReader<BufReader<TcpStream>>,
-    writer: FrameWriter<BufWriter<TcpStream>>,
-    key: u64,
-    session: SessionRef,
-    ticketed: bool,
-    checked: bool,
-    shared: &'a Shared,
-}
-
-/// The driver proper: pumps client frames into the session journal and
-/// backend frames out to the client, failing over across backend
-/// incarnations, and going "ghost" (client-less but still driving the
-/// backend) when the client transport dies mid-session.
-fn drive_session(ctx: DriverCtx<'_>) {
-    let DriverCtx {
-        client_stream,
-        reader,
-        mut writer,
-        key,
-        session,
-        ticketed,
-        checked,
-        shared,
-    } = ctx;
-    let pool = &*shared.pool;
-    let table = &shared.table;
-    let stats = &shared.stats;
-    let drop_after = shared.drop_after;
-    let trace = shared.trace();
-
+    mut client: FrameWriter<BufWriter<TcpStream>>,
+    resume_from: Option<u64>,
+) {
     // The driver inbox. Unbounded by design: the router buffers the
     // whole stream anyway, and a bounded inbox could deadlock the
     // driver↔backend↔reader cycle (driver blocked writing EVENTS, the
     // backend blocked writing ALARMS, the reader blocked enqueueing).
     let (tx, rx) = mpsc::channel::<Msg>();
-
-    let client_reader = {
-        let tx = tx.clone();
-        std::thread::spawn(move || {
-            let mut r = reader;
-            loop {
-                match r.read() {
-                    Ok(Some((tag, payload))) => {
-                        if tx.send(Msg::Client(tag, payload)).is_err() {
-                            return;
-                        }
-                    }
-                    // Clean EOF at a frame boundary: the client hung up.
-                    Ok(None) => {
-                        let _ = tx.send(Msg::ClientGone);
-                        return;
-                    }
-                    // Torn frame, oversized header, checksum mismatch:
-                    // the client leg is no longer trustworthy — but the
-                    // driver must know it was *damage*, not a hangup, so
-                    // an anonymous session still draws a clean ERROR.
-                    Err(e) => {
-                        let _ = tx.send(Msg::ClientBad(e.to_string()));
-                        return;
-                    }
-                }
-            }
-        })
+    let client_reader = spawn_client_reader(reader, tx.clone());
+    let mut backend = None;
+    let end = match resume_from.and_then(|n| d.resume(n, &mut client)) {
+        Some(end) => end,
+        None => pump(&mut d, &tx, &rx, &client_stream, &mut client, &mut backend),
     };
 
-    // One fatal-exit macro'd closure would obscure control flow; instead
-    // a tiny helper finishes the session on unrecoverable errors.
-    let fatal = |writer: &mut FrameWriter<BufWriter<TcpStream>>, alive: bool, msg: &str| {
-        let first = {
-            let mut s = lock_session(&session);
-            let first = !s.done();
-            if s.error.is_none() {
-                s.set_error(msg.as_bytes().to_vec());
-            }
-            first
-        };
-        if first {
-            stats.sessions.fetch_add(1, Ordering::Relaxed);
+    // Teardown — every session exit passes here: release the backend
+    // leg, settle the session, then close the client leg and collect its
+    // reader.
+    if let Some(b) = backend {
+        let _ = b.shutdown(Shutdown::Both);
+    }
+    d.settle(&end, &mut client);
+    // Clean completion mirrors the backend's half-close discipline so the
+    // client's final read sees EOF; the reader then drains the client's
+    // remaining frames until EOF, so anything it queued — the terminal
+    // ACK racing the verdict included — is in the inbox after the join.
+    // A successful write only proves the frames left this process; the
+    // ACK proves delivery. Without it the entry stays, so the next resume
+    // collects the verdict from the buffer instead of drawing "unknown
+    // session id".
+    let finished = end == End::Finished;
+    let _ = client_stream.shutdown(if finished {
+        Shutdown::Write
+    } else {
+        Shutdown::Both
+    });
+    let _ = client_reader.join();
+    if finished {
+        if d.ticketed
+            && (d.verdict_acked || rx.try_iter().any(|m| matches!(m, Msg::Client(ACK, _))))
+        {
+            d.shared.table.forget(&d.session);
         }
-        if alive {
-            client_error(writer, msg);
-        }
-        table.forget(&session);
-        detach(&session);
-    };
+        let _ = client_stream.shutdown(Shutdown::Both);
+    }
+}
 
-    // Transient infrastructure trouble — no routable backend, an
-    // exhausted failover budget, a wedged transport — is not a verdict
-    // on a *ticketed* session: its journal is intact and a resume can
-    // pick it up once the fleet recovers. Park it (quiet client sever +
-    // detach, table entry kept) instead of forging an ERROR; the
-    // client's retry machine turns the severed leg into a resume.
-    // Anonymous sessions have no resume path and draw the fatal ERROR.
-    let park = |reason: &str| {
-        if let Some(t) = trace {
-            let buffered = lock_session(&session).journal.len();
-            t.emit(
-                "router.park",
-                Some(key),
-                vec![
-                    ("reason", reason.to_owned().into()),
-                    ("events_buffered", buffered.into()),
-                ],
-            );
-        }
-        shutdown_both(&client_stream);
-        detach(&session);
-    };
-
-    let mut dec = EventDecoder::new();
-    let mut client_alive = true;
-    let mut ghost_since: Option<Instant> = None;
-    let mut acks_sent = 0u64;
-    // Whether the client confirmed the verdict arrived (terminal ACK).
-    // A successful SUMMARY write through a faulting wire proves nothing;
-    // only this flag (or the same frame surfacing in the post-join
-    // drain) lets `finish` forget a ticketed session.
-    let mut verdict_acked = false;
-    let mut inc = 0u64; // backend incarnation counter (per driver)
-    let mut failovers = 0u32;
-
-    'incarnations: loop {
-        // Route and connect, patiently: the health checker may be mid-way
-        // through reviving the whole fleet.
-        let deadline = Instant::now() + ROUTE_PATIENCE;
-        let (slot, generation, backend) = loop {
-            if let Some((slot, addr, generation)) = pool.route(key) {
-                match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-                    Ok(s) => break (slot, generation, s),
-                    Err(_) => {
-                        pool.mark_down(slot, generation);
-                        pool.revive(slot);
-                    }
-                }
-            }
-            let stopping = shared.stop.load(Ordering::SeqCst);
-            if stopping || Instant::now() >= deadline {
-                let reason = if stopping {
-                    "router shutdown"
-                } else {
-                    "no live backends"
-                };
-                if ticketed {
-                    park(reason);
-                    let _ = client_reader.join();
-                    return;
-                }
-                fatal(&mut writer, client_alive, reason);
-                shutdown_both(&client_stream);
-                let _ = client_reader.join();
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(20));
+/// Drives backend incarnations until the session leaves: route and
+/// connect, replay, then feed the inbox through [`Driver::on`]. A
+/// failover releases the incarnation and starts the next; `backend`
+/// holds the live one for the teardown.
+fn pump(
+    d: &mut Driver<'_>,
+    tx: &mpsc::Sender<Msg>,
+    rx: &mpsc::Receiver<Msg>,
+    client_stream: &TcpStream,
+    client: &mut FrameWriter<BufWriter<TcpStream>>,
+    backend: &mut Option<TcpStream>,
+) -> End {
+    let shared = d.shared;
+    loop {
+        let (slot, generation, stream) = match connect(shared, d.key) {
+            Ok(c) => c,
+            Err(reason) => return d.infra_fault(reason, reason),
         };
-        inc += 1;
-        let _ = backend.set_nodelay(true);
-        let backend_raw = match backend.try_clone() {
-            Ok(s) => s,
-            Err(_) => continue 'incarnations,
+        let inc = d.incarnate();
+        let _ = stream.set_nodelay(true);
+        let (Ok(raw), Ok(r)) = (stream.try_clone(), stream.try_clone()) else {
+            continue;
         };
-        let mut bw = FrameWriter::new(BufWriter::new(backend), false);
-
         // This incarnation's reader — spawned BEFORE the replay so alarm
         // frames raised mid-replay drain into the inbox instead of
         // filling the socket and deadlocking the replay write.
-        {
-            let tx = tx.clone();
-            let this_inc = inc;
-            let r = match backend_raw.try_clone() {
-                Ok(s) => s,
-                Err(_) => continue 'incarnations,
-            };
-            let backend_checked = checked;
-            std::thread::spawn(move || {
-                let mut r = FrameReader::new(BufReader::new(r), backend_checked);
-                loop {
-                    match r.read() {
-                        Ok(Some((tag, payload))) => {
-                            if tx.send(Msg::Backend(this_inc, tag, payload)).is_err() {
-                                return;
-                            }
-                        }
-                        Ok(None) | Err(_) => {
-                            let _ = tx.send(Msg::BackendGone(this_inc));
-                            return;
-                        }
+        spawn_backend_reader(r, inc, d.checked, tx.clone());
+        *backend = Some(raw);
+        let mut bw = FrameWriter::new(BufWriter::new(stream), false);
+        let mut next = d.replay(&mut bw);
+        loop {
+            match next {
+                Next::Continue => {}
+                Next::Ghost(error) => {
+                    let _ = client_stream.shutdown(Shutdown::Both);
+                    shared.span("router.client_fault", Some(d.key), || {
+                        vec![("error", error.into())]
+                    });
+                }
+                Next::Failover(reason) => {
+                    if let Some(b) = backend.take() {
+                        let _ = b.shutdown(Shutdown::Both);
+                    }
+                    shared.pool.mark_down(slot, generation);
+                    shared.pool.revive(slot);
+                    match d.failed_over(slot, reason) {
+                        Some(end) => return end,
+                        None => break,
                     }
                 }
-            });
+                Next::End(end) => return end,
+            }
+            // A timeout feeds `Idle`; the inbox never disconnects, since
+            // this function holds a sender itself.
+            let msg = rx.recv_timeout(d.wait()).unwrap_or(Msg::Idle);
+            next = d.on(msg, client, &mut bw);
         }
+    }
+}
 
-        // Replay the journaled prefix to this incarnation with a fresh
-        // encoder (codec state is per-connection on both legs). The HELLO
-        // is plain — checked framing starts after it, per the handshake
-        // contract — and spilled batches are decoded from disk and
-        // re-encoded so the new backend sees one continuous delta stream.
-        let mut enc = EventEncoder::new();
-        let mut end_sent = false;
-        let replay_ok = {
-            let mut s = lock_session(&session);
-            let mut ok = bw.write(HELLO, &s.hello).is_ok();
-            bw.set_checked(checked);
-            if ok {
-                let bw = &mut bw;
-                let enc = &mut enc;
-                ok = s
-                    .journal
-                    .replay(|chunk| {
-                        for part in chunk.chunks(REPLAY_BATCH) {
-                            bw.write(EVENTS, &enc.encode_batch(part))?;
-                        }
-                        Ok(())
-                    })
-                    .is_ok();
+/// Routes `key` and connects, patiently: the health checker may be
+/// mid-way through reviving the whole fleet. `Err` says why the session
+/// cannot wait any longer.
+fn connect(shared: &Shared, key: u64) -> Result<(usize, u64, TcpStream), &'static str> {
+    let deadline = Instant::now() + ROUTE_PATIENCE;
+    loop {
+        if let Some((slot, addr, generation)) = shared.pool.route(key) {
+            match TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
+                Ok(s) => return Ok((slot, generation, s)),
+                Err(_) => {
+                    shared.pool.mark_down(slot, generation);
+                    shared.pool.revive(slot);
+                }
             }
-            if ok && s.ended {
-                ok = bw.write(END, &[]).is_ok();
-                end_sent = true;
+        }
+        if shared.stop.load(Ordering::SeqCst) {
+            return Err("router shutdown");
+        }
+        if Instant::now() >= deadline {
+            return Err("no live backends");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+fn spawn_client_reader(
+    mut r: FrameReader<BufReader<TcpStream>>,
+    tx: mpsc::Sender<Msg>,
+) -> JoinHandle<()> {
+    std::thread::spawn(move || loop {
+        match r.read() {
+            Ok(Some((tag, payload))) => {
+                if tx.send(Msg::Client(tag, payload)).is_err() {
+                    return;
+                }
             }
-            ok && bw.flush().is_ok()
-        };
-        let fail_over = |backend_raw: &TcpStream, failovers: &mut u32| -> bool {
-            let _ = backend_raw.shutdown(Shutdown::Both);
-            pool.mark_down(slot, generation);
-            pool.revive(slot);
-            stats.failovers.fetch_add(1, Ordering::Relaxed);
-            *failovers += 1;
-            if let Some(t) = trace {
-                t.emit(
-                    "router.failover",
-                    Some(key),
-                    vec![
-                        ("slot", (slot as u64).into()),
-                        ("nth", u64::from(*failovers).into()),
-                    ],
-                );
-            }
-            *failovers <= MAX_FAILOVERS
-        };
-        if !replay_ok {
-            if fail_over(&backend_raw, &mut failovers) {
-                continue 'incarnations;
-            }
-            if ticketed {
-                park("failover budget exhausted");
-                let _ = client_reader.join();
+            // Clean EOF at a frame boundary: the client hung up.
+            Ok(None) => {
+                let _ = tx.send(Msg::ClientGone);
                 return;
             }
-            fatal(
-                &mut writer,
-                client_alive,
-                "session failed over too many times",
-            );
-            shutdown_both(&client_stream);
-            let _ = client_reader.join();
-            return;
+            // Torn frame, oversized header, checksum mismatch: the client
+            // leg is no longer trustworthy — but the driver must know it
+            // was *damage*, not a hangup, so an anonymous session still
+            // draws a clean ERROR.
+            Err(e) => {
+                let _ = tx.send(Msg::ClientBad(e.to_string()));
+                return;
+            }
         }
+    })
+}
 
-        // Alarms this incarnation has reported; the first
-        // `alarms.len()` of them are deterministic repeats of the log.
-        let mut seen = 0u64;
-        // A SUMMARY is held back until the backend closes cleanly: a
-        // summary chased by a retryable stream error is a *partial*
-        // result from a damaged backend leg and must never reach the
-        // client — failover replays and produces the real one.
-        let mut pending_summary: Option<Vec<u8>> = None;
-
+fn spawn_backend_reader(stream: TcpStream, inc: u64, checked: bool, tx: mpsc::Sender<Msg>) {
+    std::thread::spawn(move || {
+        let mut r = FrameReader::new(BufReader::new(stream), checked);
         loop {
-            // A ghost driver (no client) yields to a resuming connection
-            // as soon as one asks — and after `ghost_linger` without one,
-            // or at router shutdown, it parks the session: the backend is
-            // released, but the journaled state stays for a later resume.
-            if !client_alive {
-                if ghost_since.is_none() {
-                    ghost_since = Some(Instant::now());
+            match r.read() {
+                Ok(Some((tag, payload))) => {
+                    if tx.send(Msg::Backend(inc, tag, payload)).is_err() {
+                        return;
+                    }
                 }
-                let hand_over = lock_session(&session).takeover;
-                if hand_over {
-                    let _ = backend_raw.shutdown(Shutdown::Both);
-                    detach(&session);
+                Ok(None) | Err(_) => {
+                    let _ = tx.send(Msg::BackendGone(inc));
                     return;
                 }
-                if shared.stop.load(Ordering::SeqCst)
-                    || ghost_since.is_some_and(|t| t.elapsed() >= shared.ghost_linger)
-                {
-                    if let Some(t) = trace {
-                        let buffered = lock_session(&session).journal.len();
-                        t.emit(
-                            "router.park",
-                            Some(key),
-                            vec![("events_buffered", buffered.into())],
-                        );
-                    }
-                    let _ = backend_raw.shutdown(Shutdown::Both);
-                    detach(&session);
-                    return;
-                }
-            }
-            let wait = if client_alive {
-                // Twice the per-read idle budget: both legs must be
-                // silent that long before the session counts as wedged.
-                shared.idle_timeout * 2
-            } else {
-                Duration::from_millis(25)
-            };
-            let msg = match rx.recv_timeout(wait) {
-                Ok(m) => m,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if !client_alive {
-                        continue; // ghost: just re-check takeover/linger
-                    }
-                    // Neither client nor backend frames for the full
-                    // budget: the session is wedged — end it. Ticketed
-                    // sessions park (a resume un-wedges both legs).
-                    let _ = backend_raw.shutdown(Shutdown::Both);
-                    if ticketed {
-                        park("router session idle timeout");
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    fatal(&mut writer, client_alive, "router session idle timeout");
-                    shutdown_both(&client_stream);
-                    let _ = client_reader.join();
-                    return;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => return,
-            };
-            match msg {
-                // Frames from a severed client leg are untrustworthy;
-                // drop them and let the resume re-deliver.
-                Msg::Client(..) if !client_alive => {}
-                Msg::Client(EVENTS, payload) => {
-                    let batch = match dec.decode_batch(&payload) {
-                        Ok(b) => b,
-                        Err(e) => {
-                            if ticketed {
-                                // The wire lied mid-frame. Sever the
-                                // client leg quietly and go ghost — the
-                                // client sees EOF and resumes from the
-                                // last ACK with a fresh encoder.
-                                shutdown_both(&client_stream);
-                                client_alive = false;
-                                if let Some(t) = trace {
-                                    t.emit(
-                                        "router.client_fault",
-                                        Some(key),
-                                        vec![("error", format!("{e}").into())],
-                                    );
-                                }
-                                continue;
-                            }
-                            fatal(&mut writer, client_alive, &format!("bad EVENTS frame: {e}"));
-                            let _ = backend_raw.shutdown(Shutdown::Both);
-                            shutdown_both(&client_stream);
-                            let _ = client_reader.join();
-                            return;
-                        }
-                    };
-                    // Append fresh events; silently drop the resume
-                    // overlap (seqs already journaled). A gap means the
-                    // wire dropped something: recoverable for ticketed
-                    // sessions (sever + resume), fatal for anonymous.
-                    let mut fresh: Vec<TraceInst> = Vec::new();
-                    let mut gap = None;
-                    let mut journal_err = None;
-                    {
-                        let mut s = lock_session(&session);
-                        for t in batch {
-                            let n = s.journal.len();
-                            if t.seq < n {
-                                continue;
-                            }
-                            if t.seq > n {
-                                gap = Some((t.seq, n));
-                                break;
-                            }
-                            if let Err(e) = s.journal.push(t) {
-                                journal_err = Some(e);
-                                break;
-                            }
-                            fresh.push(t);
-                        }
-                    }
-                    if let Some(e) = journal_err {
-                        fatal(
-                            &mut writer,
-                            client_alive,
-                            &format!("session journal write failed: {e}"),
-                        );
-                        let _ = backend_raw.shutdown(Shutdown::Both);
-                        shutdown_both(&client_stream);
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    if let Some((got, want)) = gap {
-                        if ticketed {
-                            shutdown_both(&client_stream);
-                            client_alive = false;
-                            if let Some(t) = trace {
-                                t.emit(
-                                    "router.client_fault",
-                                    Some(key),
-                                    vec![(
-                                        "error",
-                                        format!("event seq gap: got {got}, expected {want}").into(),
-                                    )],
-                                );
-                            }
-                        } else {
-                            fatal(
-                                &mut writer,
-                                client_alive,
-                                &format!("event seq gap: got {got}, expected {want}"),
-                            );
-                            let _ = backend_raw.shutdown(Shutdown::Both);
-                            shutdown_both(&client_stream);
-                            let _ = client_reader.join();
-                            return;
-                        }
-                    }
-                    if !fresh.is_empty() {
-                        stats
-                            .events
-                            .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-                        let ok = bw
-                            .write(EVENTS, &enc.encode_batch(&fresh))
-                            .and_then(|()| bw.flush())
-                            .is_ok();
-                        if !ok {
-                            if fail_over(&backend_raw, &mut failovers) {
-                                continue 'incarnations;
-                            }
-                            if ticketed {
-                                park("failover budget exhausted");
-                                let _ = client_reader.join();
-                                return;
-                            }
-                            fatal(
-                                &mut writer,
-                                client_alive,
-                                "session failed over too many times",
-                            );
-                            shutdown_both(&client_stream);
-                            let _ = client_reader.join();
-                            return;
-                        }
-                    }
-                    if ticketed && client_alive {
-                        let buffered = lock_session(&session).journal.len();
-                        if send_client(&mut writer, ACK, &proto::encode_ack(buffered)) {
-                            acks_sent += 1;
-                            if drop_after == Some(acks_sent) {
-                                // Fault injection: sever the client link
-                                // abruptly; the session state survives
-                                // for resume.
-                                shutdown_both(&client_stream);
-                            }
-                        } else {
-                            client_alive = false;
-                        }
-                    }
-                }
-                Msg::Client(END, _) => {
-                    {
-                        let mut s = lock_session(&session);
-                        s.ended = true;
-                        let _ = s.journal.record_ended();
-                    }
-                    if !end_sent {
-                        end_sent = true;
-                        let ok = bw.write(END, &[]).and_then(|()| bw.flush()).is_ok();
-                        if !ok {
-                            if fail_over(&backend_raw, &mut failovers) {
-                                continue 'incarnations;
-                            }
-                            if ticketed {
-                                park("failover budget exhausted");
-                                let _ = client_reader.join();
-                                return;
-                            }
-                            fatal(
-                                &mut writer,
-                                client_alive,
-                                "session failed over too many times",
-                            );
-                            shutdown_both(&client_stream);
-                            let _ = client_reader.join();
-                            return;
-                        }
-                    }
-                }
-                Msg::Client(ACK, _) => {
-                    // The client's terminal delivery ACK — the verdict
-                    // made it across the wire. (Early or duplicated ACKs
-                    // are harmless: the flag only matters once the
-                    // session is done.)
-                    verdict_acked = true;
-                }
-                Msg::Client(tag, _) => {
-                    if ticketed {
-                        // An impossible tag on a negotiated connection is
-                        // wire damage, not a client bug: sever and ghost.
-                        shutdown_both(&client_stream);
-                        client_alive = false;
-                        if let Some(t) = trace {
-                            t.emit(
-                                "router.client_fault",
-                                Some(key),
-                                vec![("error", format!("unexpected frame tag {tag}").into())],
-                            );
-                        }
-                        continue;
-                    }
-                    fatal(
-                        &mut writer,
-                        client_alive,
-                        &format!("unexpected frame tag {tag}"),
-                    );
-                    let _ = backend_raw.shutdown(Shutdown::Both);
-                    shutdown_both(&client_stream);
-                    let _ = client_reader.join();
-                    return;
-                }
-                Msg::ClientBad(_) if !client_alive => {} // already ghosted
-                Msg::ClientBad(e) => {
-                    let done = lock_session(&session).done();
-                    if ticketed && !done {
-                        // Wire damage on a negotiated connection: sever
-                        // the client leg quietly and go ghost — the
-                        // resume re-delivers from the last ACK. The
-                        // damage proves nothing about who lied, so no
-                        // verdict is forged.
-                        shutdown_both(&client_stream);
-                        client_alive = false;
-                        if let Some(t) = trace {
-                            t.emit("router.client_fault", Some(key), vec![("error", e.into())]);
-                        }
-                        continue;
-                    }
-                    if ticketed {
-                        // The session already finished: trailing garbage
-                        // is indistinguishable from a hangup, and a
-                        // finished journal must never grow an error
-                        // record. Detach silently, like ClientGone.
-                        table.forget(&session);
-                        detach(&session);
-                        let _ = backend_raw.shutdown(Shutdown::Both);
-                        shutdown_both(&client_stream);
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    // Anonymous sessions cannot resume: answer the
-                    // garbage with a clean ERROR and tear down.
-                    fatal(&mut writer, client_alive, &format!("bad frame: {e}"));
-                    let _ = backend_raw.shutdown(Shutdown::Both);
-                    shutdown_both(&client_stream);
-                    let _ = client_reader.join();
-                    return;
-                }
-                Msg::ClientGone if !client_alive => {} // already ghosted
-                Msg::ClientGone => {
-                    let done = lock_session(&session).done();
-                    if done || !ticketed {
-                        // Anonymous sessions cannot resume; done sessions
-                        // need nothing more from a client.
-                        if ticketed {
-                            table.forget(&session);
-                        }
-                        detach(&session);
-                        let _ = backend_raw.shutdown(Shutdown::Both);
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    // Ticketed and unfinished: go ghost — keep driving
-                    // the backend so already-streamed events still yield
-                    // their detections; a resume picks the session up.
-                    client_alive = false;
-                    if let Some(t) = trace {
-                        let buffered = lock_session(&session).journal.len();
-                        t.emit(
-                            "router.ghost",
-                            Some(key),
-                            vec![("events_buffered", buffered.into())],
-                        );
-                    }
-                }
-                Msg::Backend(i, ALARMS, payload) if i == inc => {
-                    let ds = match proto::decode_alarms(&payload) {
-                        Ok(d) => d,
-                        Err(e) => {
-                            // A garbled ALARMS frame means the backend
-                            // leg is damaged; failover replays and the
-                            // deterministic engines re-raise everything.
-                            if let Some(t) = trace {
-                                t.emit(
-                                    "router.backend_fault",
-                                    Some(key),
-                                    vec![("error", format!("bad ALARMS: {e}").into())],
-                                );
-                            }
-                            if fail_over(&backend_raw, &mut failovers) {
-                                continue 'incarnations;
-                            }
-                            if ticketed {
-                                park("failover budget exhausted");
-                                let _ = client_reader.join();
-                                return;
-                            }
-                            fatal(
-                                &mut writer,
-                                client_alive,
-                                "session failed over too many times",
-                            );
-                            shutdown_both(&client_stream);
-                            let _ = client_reader.join();
-                            return;
-                        }
-                    };
-                    // A decoded ALARMS frame is a live round-trip:
-                    // this incarnation connected, replayed, and spoke
-                    // protocol. Reset the failover budget so it bounds
-                    // consecutive *silent* failovers (a hot loop), not
-                    // total failovers over a long session's lifetime
-                    // under sustained-but-survivable fault pressure.
-                    failovers = 0;
-                    // Deduplicate across failovers: analysis is
-                    // deterministic, so a replayed incarnation re-raises
-                    // the logged prefix bit-identically; only the tail
-                    // past the log is new. Fresh alarms hit the durable
-                    // index *before* they are released to the client, so
-                    // a post-crash recovery never re-raises a delivered
-                    // alarm out of order.
-                    let mut fresh: Vec<Detection> = Vec::new();
-                    {
-                        let mut s = lock_session(&session);
-                        for d in ds {
-                            seen += 1;
-                            if seen > s.alarms.len() as u64 {
-                                s.alarms.push(d);
-                                fresh.push(d);
-                            }
-                        }
-                        if !fresh.is_empty() {
-                            let _ = s.journal.record_alarms(&fresh);
-                        }
-                    }
-                    if !fresh.is_empty()
-                        && client_alive
-                        && !send_client(&mut writer, ALARMS, &proto::encode_alarms(&fresh))
-                    {
-                        client_alive = false;
-                    }
-                }
-                Msg::Backend(i, SUMMARY, payload) if i == inc => {
-                    failovers = 0;
-                    pending_summary = Some(payload);
-                    // The backend is draining toward close; sever our
-                    // write side so its drain sees EOF *now* instead of
-                    // waiting out its read timeout. A trailing ERROR (if
-                    // any) was written before the drain began and still
-                    // arrives.
-                    let _ = backend_raw.shutdown(Shutdown::Write);
-                }
-                Msg::Backend(i, ERROR, payload) if i == inc => {
-                    if payload.starts_with(RETRYABLE_ERROR_PREFIX.as_bytes()) {
-                        // The backend saw transport damage on our leg
-                        // (netem corruption, truncation, a dropped
-                        // frame). Its summary — if any — is partial:
-                        // discard it and fail over; the replay heals.
-                        if let Some(t) = trace {
-                            t.emit(
-                                "router.backend_fault",
-                                Some(key),
-                                vec![(
-                                    "error",
-                                    String::from_utf8_lossy(&payload).into_owned().into(),
-                                )],
-                            );
-                        }
-                        if fail_over(&backend_raw, &mut failovers) {
-                            continue 'incarnations;
-                        }
-                        if ticketed {
-                            park("failover budget exhausted");
-                            let _ = client_reader.join();
-                            return;
-                        }
-                        fatal(
-                            &mut writer,
-                            client_alive,
-                            "session failed over too many times",
-                        );
-                        shutdown_both(&client_stream);
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    // Terminal error: commit the pending summary first
-                    // (short-stream sessions send SUMMARY then ERROR),
-                    // then the error itself.
-                    if let Some(p) = pending_summary.take() {
-                        lock_session(&session).set_summary(p.clone());
-                        stats.sessions.fetch_add(1, Ordering::Relaxed);
-                        if client_alive && !send_client(&mut writer, SUMMARY, &p) {
-                            client_alive = false;
-                        }
-                    }
-                    let had_summary = {
-                        let mut s = lock_session(&session);
-                        let had = s.summary.is_some();
-                        s.set_error(payload.clone());
-                        had
-                    };
-                    if !had_summary {
-                        stats.sessions.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if client_alive && !send_client(&mut writer, ERROR, &payload) {
-                        client_alive = false;
-                    }
-                    let _ = backend_raw.shutdown(Shutdown::Write);
-                }
-                Msg::Backend(i, tag, _) if i == inc => {
-                    // Anything else from a backend is wire damage too —
-                    // replay, don't kill the session.
-                    if let Some(t) = trace {
-                        t.emit(
-                            "router.backend_fault",
-                            Some(key),
-                            vec![("error", format!("unexpected frame tag {tag}").into())],
-                        );
-                    }
-                    if fail_over(&backend_raw, &mut failovers) {
-                        continue 'incarnations;
-                    }
-                    if ticketed {
-                        park("failover budget exhausted");
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    fatal(
-                        &mut writer,
-                        client_alive,
-                        "session failed over too many times",
-                    );
-                    shutdown_both(&client_stream);
-                    let _ = client_reader.join();
-                    return;
-                }
-                Msg::Backend(..) => {} // stale incarnation; ignore
-                Msg::BackendGone(i) if i == inc => {
-                    // A clean close commits the held summary: the backend
-                    // said everything it meant to.
-                    if let Some(p) = pending_summary.take() {
-                        lock_session(&session).set_summary(p.clone());
-                        stats.sessions.fetch_add(1, Ordering::Relaxed);
-                        if client_alive && !send_client(&mut writer, SUMMARY, &p) {
-                            client_alive = false;
-                        }
-                    }
-                    let done = lock_session(&session).done();
-                    if done {
-                        finish(
-                            &client_stream,
-                            writer,
-                            client_reader,
-                            &rx,
-                            &session,
-                            table,
-                            ticketed,
-                            verdict_acked,
-                        );
-                        return;
-                    }
-                    // Mid-session death: fail over and replay.
-                    if fail_over(&backend_raw, &mut failovers) {
-                        continue 'incarnations;
-                    }
-                    if ticketed {
-                        park("failover budget exhausted");
-                        let _ = client_reader.join();
-                        return;
-                    }
-                    fatal(
-                        &mut writer,
-                        client_alive,
-                        "session failed over too many times",
-                    );
-                    shutdown_both(&client_stream);
-                    let _ = client_reader.join();
-                    return;
-                }
-                Msg::BackendGone(_) => {} // stale incarnation; ignore
             }
         }
-    }
+    });
 }
 
-/// Clean completion: mirror the backend's half-close discipline so the
-/// client's final read sees EOF, then drain and close. A ghost driver
-/// (client already gone) leaves the finished session in the table so a
-/// late resume can still collect everything from the buffer.
-///
-/// A write that succeeded only proves the frames left this process —
-/// through a faulting wire that is not delivery. A ticketed session's
-/// verdict counts as **delivered** when the client *voluntarily* closed
-/// (clean EOF at a frame boundary) after our terminal frames went out;
-/// a severed drain keeps the table entry so the next resume collects
-/// the verdict from the buffer instead of drawing "unknown session id".
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    client_stream: &TcpStream,
-    mut writer: FrameWriter<BufWriter<TcpStream>>,
-    client_reader: JoinHandle<()>,
-    rx: &mpsc::Receiver<Msg>,
-    session: &SessionRef,
-    table: &SessionTable,
-    ticketed: bool,
-    verdict_acked: bool,
-) {
-    detach(session);
-    if !ticketed {
-        table.forget(session);
-    }
-    let _ = writer.flush();
-    let _ = client_stream.shutdown(Shutdown::Write);
-    // The reader drains the client's remaining frames until EOF and
-    // exits; anything it queued — including the terminal ACK racing
-    // our entry into finish — is visible after the join.
-    let _ = client_reader.join();
-    if ticketed {
-        let mut delivered = verdict_acked;
-        while let Ok(m) = rx.try_recv() {
-            if let Msg::Client(tag, _) = m {
-                if tag == ACK {
-                    delivered = true;
-                }
-            }
-        }
-        if delivered {
-            table.forget(session);
-        }
-    }
-    let _ = client_stream.shutdown(Shutdown::Both);
-}
-
-/// Serves a resume for a session that finished while the client was
-/// away: the preamble already re-sent the alarm tail; deliver the stored
-/// terminal frames straight from the buffer — no backend involved.
-fn finish_from_buffer(
-    client_stream: &TcpStream,
-    mut reader: FrameReader<BufReader<TcpStream>>,
-    mut writer: FrameWriter<BufWriter<TcpStream>>,
-    session: &SessionRef,
-    table: &SessionTable,
-) {
-    let (summary, error) = {
-        let s = lock_session(session);
-        (s.summary.clone(), s.error.clone())
-    };
-    let mut sent = true;
-    if let Some(p) = summary {
-        sent &= writer.write(SUMMARY, &p).is_ok();
-    }
-    if let Some(p) = error {
-        sent &= writer.write(ERROR, &p).is_ok();
-    }
-    sent &= writer.flush().is_ok();
-    detach(session);
-    let _ = client_stream.shutdown(Shutdown::Write);
-    // Drain whatever the client was still sending (duplicate events,
-    // END) until it sees our EOF and closes — watching for the terminal
-    // delivery ACK. Same discipline as [`finish`]: only that ACK proves
-    // the verdict arrived; otherwise the entry stays for the next
-    // resume.
-    let mut delivered = false;
-    while let Ok(Some((tag, _))) = reader.read() {
-        if tag == ACK {
-            delivered = true;
-        }
-    }
-    if sent && delivered {
-        table.forget(session);
-    }
-    let _ = client_stream.shutdown(Shutdown::Both);
-}
+#[cfg(test)]
+mod tests;

@@ -95,7 +95,7 @@ pub struct Allocator {
     /// `SE_Bitmap` per GID: bit *k* activates SE *k*.
     se_bitmap: [u16; MAX_GIDS],
     /// Per-GID union of every subscribed SE's engine set, precomputed at
-    /// subscription time: the mapper consults this every fast cycle for
+    /// subscription time: the mapper consults this on every busy step for
     /// its conservative CDC space check, so it must not walk the SEs.
     candidates: [u16; MAX_GIDS],
     ses: Vec<SchedulingEngine>,

@@ -10,55 +10,76 @@ use crate::packet::{layout, Gid, Packet};
 use fireguard_isa::InstClass;
 use fireguard_trace::TraceInst;
 
-/// A fixed-capacity power-of-two ring buffer of [`Packet`]s.
+/// The per-path FIFOs, stored as one commit-ordered ring.
 ///
-/// The filter FIFOs are small (16 entries) and extremely hot — one push
-/// per commit slot, one pop per arbiter cycle — so the storage is a flat
-/// boxed slice indexed with a mask: no reallocation ever, no branchy
-/// wrap-around arithmetic, and the whole queue lives in two cache lines.
-/// A running count of *valid* packets makes `arbiter_has_packet` O(width)
-/// instead of an element scan.
+/// The core commits in order and stops at its first refused offer, so
+/// accepted offers arrive in strictly increasing `(commit_cycle, slot)`
+/// order. Appending every path's packets to one ring in arrival order
+/// therefore already *is* the arbiter's merge: the oldest valid packet in
+/// push order is the minimum-order valid packet across all FIFOs, and the
+/// placeholders older than it are exactly the ring's placeholder prefix.
+/// Each FIFO survives as an occupancy counter, so refusal still happens
+/// per path at the logical depth.
+///
+/// Storage is flat power-of-two boxed slices indexed with a mask: no
+/// reallocation ever, no branchy wrap-around arithmetic.
 #[derive(Debug, Clone)]
-struct PacketRing {
+struct ArbiterRing {
     buf: Box<[Packet]>,
+    /// The FIFO (commit path) each buffered packet occupies.
+    path: Box<[usize]>,
     mask: usize,
     head: usize,
     len: usize,
     /// Valid (non-placeholder) packets currently buffered.
     valid: usize,
     /// Offset (from `head`) of the oldest valid packet, or `usize::MAX`
-    /// when none is buffered. Maintained incrementally so the arbiter's
-    /// per-cycle merge never rescans ring contents.
+    /// when none is buffered. Maintained incrementally so peeking never
+    /// rescans ring contents.
     first_valid_off: usize,
+    /// Per-path FIFO occupancy.
+    path_len: Box<[usize]>,
+    /// Paths whose FIFO is at the logical depth.
+    full_paths: usize,
+    depth: usize,
+    /// Order key of the last packet pushed (the push-order precondition).
+    last_order: Option<(u64, u8)>,
 }
 
-impl PacketRing {
-    fn new(depth: usize) -> Self {
-        let cap = depth.next_power_of_two();
-        PacketRing {
+impl ArbiterRing {
+    fn new(width: usize, depth: usize) -> Self {
+        let cap = (width * depth).next_power_of_two();
+        ArbiterRing {
             buf: vec![Packet::placeholder(0, 0); cap].into_boxed_slice(),
+            path: vec![0; cap].into_boxed_slice(),
             mask: cap - 1,
             head: 0,
             len: 0,
             valid: 0,
             first_valid_off: usize::MAX,
+            path_len: vec![0; width].into_boxed_slice(),
+            full_paths: 0,
+            depth,
+            last_order: None,
         }
     }
 
     #[inline]
-    fn len(&self) -> usize {
-        self.len
+    fn path_full(&self, path: usize) -> bool {
+        self.path_len[path] >= self.depth
     }
 
     #[inline]
-    fn front(&self) -> Option<&Packet> {
-        (self.len > 0).then(|| &self.buf[self.head & self.mask])
-    }
-
-    #[inline]
-    fn push_back(&mut self, p: Packet) {
-        debug_assert!(self.len <= self.mask, "ring capacity enforced by caller");
-        self.buf[(self.head + self.len) & self.mask] = p;
+    fn push_back(&mut self, p: Packet, path: usize) {
+        debug_assert!(!self.path_full(path), "FIFO depth enforced by caller");
+        debug_assert!(
+            !matches!(self.last_order, Some(o) if o >= p.order),
+            "offers must arrive in strictly increasing (commit_cycle, slot) order"
+        );
+        self.last_order = Some(p.order);
+        let ix = (self.head + self.len) & self.mask;
+        self.buf[ix] = p;
+        self.path[ix] = path;
         if p.valid {
             self.valid += 1;
             if self.first_valid_off == usize::MAX {
@@ -66,14 +87,22 @@ impl PacketRing {
             }
         }
         self.len += 1;
+        self.path_len[path] += 1;
+        if self.path_len[path] == self.depth {
+            self.full_paths += 1;
+        }
     }
 
     #[inline]
-    fn pop_front(&mut self) -> Option<Packet> {
-        if self.len == 0 {
-            return None;
+    fn pop_front(&mut self) -> Packet {
+        debug_assert!(self.len > 0);
+        let ix = self.head & self.mask;
+        let p = self.buf[ix];
+        let path = self.path[ix];
+        if self.path_len[path] == self.depth {
+            self.full_paths -= 1;
         }
-        let p = self.buf[self.head & self.mask];
+        self.path_len[path] -= 1;
         self.head = self.head.wrapping_add(1);
         self.len -= 1;
         if p.valid {
@@ -87,15 +116,16 @@ impl PacketRing {
         } else if self.first_valid_off != usize::MAX {
             self.first_valid_off -= 1;
         }
-        Some(p)
+        p
     }
 
-    /// The oldest *valid* packet (the ring is commit-ordered, so this is
-    /// also its minimum-order valid packet), without consuming anything.
+    /// Pops the placeholder prefix: every placeholder ordered before the
+    /// oldest valid packet (all of them, if none is valid).
     #[inline]
-    fn first_valid(&self) -> Option<&Packet> {
-        (self.first_valid_off != usize::MAX)
-            .then(|| &self.buf[(self.head + self.first_valid_off) & self.mask])
+    fn squash_placeholders(&mut self) {
+        for _ in 0..self.first_valid_off.min(self.len) {
+            self.pop_front();
+        }
     }
 }
 
@@ -144,8 +174,8 @@ pub struct EventFilter {
     /// The SRAM tables are programmed identically across mini-filters; the
     /// paper replicates one table per commit path so lookups are parallel.
     minifilter: MiniFilter,
-    fifos: Vec<PacketRing>,
-    /// Offers accepted in the current cycle (reset by [`EventFilter::step`]).
+    ring: ArbiterRing,
+    /// Offers accepted in the current cycle (reset when the cycle rolls).
     offers_this_cycle: usize,
     /// PRF-selected commits in the previous cycle → ports preempted now.
     prf_selected_last_cycle: usize,
@@ -164,9 +194,7 @@ impl EventFilter {
         assert!(cfg.width > 0 && cfg.fifo_depth > 0);
         EventFilter {
             minifilter: MiniFilter::new(),
-            fifos: (0..cfg.width)
-                .map(|_| PacketRing::new(cfg.fifo_depth))
-                .collect(),
+            ring: ArbiterRing::new(cfg.width, cfg.fifo_depth),
             cfg,
             offers_this_cycle: 0,
             prf_selected_last_cycle: 0,
@@ -202,6 +230,11 @@ impl EventFilter {
     /// Offers the instruction retiring on commit path `slot` at fast cycle
     /// `now`. Returns `false` (stall commit) when the filter is narrower
     /// than the commit burst or the slot's FIFO is full.
+    ///
+    /// Offers must come in commit order: each accepted offer's
+    /// `(now, slot)` is greater than the previous accepted one's, as when
+    /// the core stops a cycle's commits at the first refusal (checked in
+    /// debug builds).
     pub fn offer(&mut self, now: u64, slot: usize, inst: &TraceInst) -> bool {
         self.offer_judged(now, slot, inst, 0)
     }
@@ -224,7 +257,7 @@ impl EventFilter {
         // commit retries the same offer every cycle — skipping the lookup
         // and packet construction on each refused retry keeps the stall
         // loop at a couple of compares.
-        if self.fifos[fifo_idx].len() >= self.cfg.fifo_depth {
+        if self.ring.path_full(fifo_idx) {
             self.stats.refusals += 1;
             self.stats.refusals_fifo += 1;
             return false;
@@ -242,7 +275,7 @@ impl EventFilter {
             }
             None => Packet::placeholder(now, slot as u8),
         };
-        self.fifos[fifo_idx].push_back(packet);
+        self.ring.push_back(packet, fifo_idx);
         self.offers_this_cycle += 1;
         if packet.valid {
             self.stats.packets += 1;
@@ -261,41 +294,20 @@ impl EventFilter {
             self.offers_this_cycle = 0;
             self.prf_selected_last_cycle = self.prf_selected_this_cycle;
             self.prf_selected_this_cycle = 0;
-            if self.fifos.iter().any(|f| f.len() >= self.cfg.fifo_depth) {
+            if self.ring.full_paths > 0 {
                 self.stats.fifo_full_cycles += 1;
             }
         }
     }
 
     /// Pops every placeholder ordered before the globally next valid
-    /// packet — exactly the set a popping arbiter would discard for free.
-    /// The mapper calls this once per arbiter cycle *before* peeking
-    /// (historically the squash lived inside a `&mut self` peek; keeping
-    /// it a separate mapper-clocked step lets peek be read-only without
-    /// changing when placeholders leave the FIFOs).
+    /// packet — exactly the set a popping arbiter would discard for free,
+    /// which in the commit-ordered ring is its placeholder prefix. The
+    /// mapper calls this at the start of each step, *before* peeking, so
+    /// peek stays read-only without changing when placeholders leave the
+    /// FIFOs.
     pub fn squash_placeholders(&mut self) {
-        // Nothing buffered (the common case on quiet cycles): skip the
-        // per-FIFO merge entirely.
-        if self.fifos.iter().all(|f| f.len == 0) {
-            return;
-        }
-        // The squashable set is every placeholder ordered before the
-        // globally oldest valid packet (all of them, if none is valid).
-        // Each FIFO is commit-ordered, so that is a prefix per FIFO.
-        let min_valid = self
-            .fifos
-            .iter()
-            .filter_map(|f| f.first_valid().map(|p| p.order))
-            .min();
-        for f in &mut self.fifos {
-            while let Some(front) = f.front() {
-                debug_assert!(front.valid || min_valid != Some(front.order));
-                if front.valid || min_valid.is_some_and(|mv| front.order > mv) {
-                    break;
-                }
-                f.pop_front();
-            }
-        }
+        self.ring.squash_placeholders();
     }
 
     /// PRF read ports the forwarding channel preempts at cycle `now` —
@@ -309,50 +321,33 @@ impl EventFilter {
     /// placeholders are skipped without consuming output cycles; at most
     /// one *valid* packet is returned per call (one per fast cycle).
     pub fn arbiter_pop(&mut self) -> Option<Packet> {
-        // Equivalent to repeatedly popping the minimum-order head and
-        // discarding placeholders: squash everything ordered before the
-        // oldest valid packet, which leaves that packet at the head of
-        // its FIFO, then pop it.
-        self.squash_placeholders();
-        let idx = self
-            .fifos
-            .iter()
-            .enumerate()
-            .filter_map(|(i, f)| f.first_valid().map(|p| (i, p.order)))
-            .min_by_key(|&(_, order)| order)?
-            .0;
-        let p = self.fifos[idx].pop_front().expect("first_valid at head");
-        debug_assert!(p.valid);
-        Some(p)
+        self.ring.squash_placeholders();
+        (self.ring.valid > 0).then(|| self.ring.pop_front())
     }
 
-    /// Peeks the next in-order valid packet without consuming it. Each
-    /// FIFO is commit-ordered, so the answer is the minimum-order head
-    /// among the per-FIFO first valid packets — a read-only index merge
-    /// (placeholder squashing happens in `roll_cycle`/`arbiter_pop`).
-    /// Pair with [`EventFilter::arbiter_pop`] once downstream space is
-    /// confirmed.
+    /// Peeks the next in-order valid packet without consuming it: the
+    /// ring's oldest valid packet, kept incrementally. Placeholders ahead
+    /// of it are left for [`EventFilter::squash_placeholders`] or
+    /// [`EventFilter::arbiter_pop`]. Pair with `arbiter_pop` once
+    /// downstream space is confirmed.
     pub fn arbiter_peek(&self) -> Option<Packet> {
-        self.fifos
-            .iter()
-            .filter_map(PacketRing::first_valid)
-            .min_by_key(|p| p.order)
-            .copied()
+        let r = &self.ring;
+        (r.first_valid_off != usize::MAX).then(|| r.buf[(r.head + r.first_valid_off) & r.mask])
     }
 
     /// Peeks whether a valid packet is available to the arbiter.
     pub fn arbiter_has_packet(&self) -> bool {
-        self.fifos.iter().any(|f| f.valid > 0)
+        self.ring.valid > 0
     }
 
     /// True if any FIFO is at capacity (the Fig. 9 filter-bottleneck signal).
     pub fn any_fifo_full(&self) -> bool {
-        self.fifos.iter().any(|f| f.len() >= self.cfg.fifo_depth)
+        self.ring.full_paths > 0
     }
 
     /// Total buffered packets (valid + placeholders).
     pub fn buffered(&self) -> usize {
-        self.fifos.iter().map(|f| f.len()).sum()
+        self.ring.len
     }
 
     /// Counters.

@@ -206,14 +206,24 @@ struct Frontend {
     /// packet's destination kernels are attributed without touching the
     /// mini-filter lookup.
     class_kernels: [u8; MAX_CLASSES],
+    /// Set when the head packet was left buffered because a candidate CDC
+    /// is full; cleared by the next slow-edge delivery. Until then every
+    /// mapper step is a no-op: only a delivery frees CDC space, the head
+    /// cannot change (new offers queue behind it, and the placeholders
+    /// ahead of it were already squashed), so the mapper sleeps.
+    cdc_blocked: bool,
 }
 
 impl Frontend {
     /// One mapper step: at most one packet from the arbiter through the
-    /// allocator into the destination CDC queues. Runs every fast cycle,
-    /// so it is allocation-free: the engine-occupancy mirror is borrowed
-    /// directly and the candidate/destination bitmaps are walked bitwise.
+    /// allocator into the destination CDC queues. Runs on every busy fast
+    /// cycle, so it is allocation-free: the engine-occupancy mirror is
+    /// borrowed directly and the candidate/destination bitmaps are walked
+    /// bitwise. While `cdc_blocked` it returns at once (see the field).
     fn step_mapper(&mut self, now: u64) {
+        if self.cdc_blocked {
+            return;
+        }
         self.filter.squash_placeholders();
         let Some(p) = self.filter.arbiter_peek() else {
             return;
@@ -223,7 +233,10 @@ impl Frontend {
         while candidates != 0 {
             let e = candidates.trailing_zeros() as usize;
             if self.cdcs[e].is_full() {
-                return; // CDC back-pressure: leave the packet buffered
+                // CDC back-pressure: leave the packet buffered and sleep
+                // until the next delivery frees space.
+                self.cdc_blocked = true;
+                return;
             }
             candidates &= candidates - 1;
         }
@@ -301,6 +314,7 @@ impl Frontend {
             breakdown: BottleneckBreakdown::default(),
             counters: EngineCounters::default(),
             class_kernels,
+            cdc_blocked: false,
         }
     }
 }
@@ -620,6 +634,7 @@ impl FireGuardSystem {
     }
 
     fn deliver(&mut self, slow: u64) {
+        self.frontend.cdc_blocked = false;
         for (i, engine) in self.engines.iter_mut().enumerate() {
             // HAs are tightly coupled at line rate (a full commit burst per
             // slow cycle); µcore message queues take the configured rate.

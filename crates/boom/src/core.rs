@@ -24,6 +24,15 @@ use std::collections::VecDeque;
 
 const NOT_READY: u64 = u64::MAX;
 
+/// Empty link in the issue stage's intrusive lists.
+const NIL: u32 = u32::MAX;
+
+/// Buckets in the issue stage's timing wheel (a power of two). An entry
+/// due further out than this stays in its bucket across wraps until its
+/// cycle comes round: load latencies can exceed it (DRAM + MSHR queueing
+/// + TLB walk).
+const WHEEL: usize = 256;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum EntryState {
     /// Dispatched, waiting in the issue queue.
@@ -32,19 +41,41 @@ enum EntryState {
     Executing,
 }
 
-/// Scan-hot projection of a `Waiting` ROB entry (see `Core::waiting_q`).
+/// Issue-queue slot of an in-flight instruction, at `abs % rob_entries`.
 ///
-/// Dispatch runs *after* issue within a cycle, so an entry is always at
-/// least one cycle old by its first scan — no dispatch-cycle eligibility
-/// field is needed.
+/// A `Waiting` entry is in exactly one place: linked on the dependents
+/// chain of each source whose producer has not issued (`pending > 0`),
+/// in the timing-wheel bucket of `wake` (not yet due), or in `ready_q`.
 #[derive(Debug, Clone, Copy)]
-struct WaitEntry {
+struct IqSlot {
     /// All-time push position; `abs - pops` is the live ROB index.
     abs: u64,
-    /// Renamed sources, as in `RobEntry::srcs`.
+    /// Latest known source ready cycle, at least the cycle after
+    /// dispatch; once `pending` is 0, the cycle the entry becomes due.
+    wake: u64,
+    /// Renamed sources. Select never reads them: they feed the scheduler
+    /// cross-check's reference predicate.
     srcs: [Option<(bool, u16)>; 2],
     /// Instruction class (functional-unit selection).
     class: InstClass,
+    /// Integer PRF reads at issue.
+    int_reads: u8,
+    /// Sources whose producer has not issued yet.
+    pending: u8,
+    /// Next slot in the same wheel bucket.
+    next: u32,
+}
+
+impl IqSlot {
+    const EMPTY: IqSlot = IqSlot {
+        abs: 0,
+        wake: 0,
+        srcs: [None, None],
+        class: InstClass::IntAlu,
+        int_reads: 0,
+        pending: 0,
+        next: NIL,
+    };
 }
 
 #[derive(Debug, Clone)]
@@ -53,8 +84,9 @@ struct RobEntry {
     state: EntryState,
     ready_at: u64,
     /// Renamed destination and the mapping it replaced (freed at commit).
-    /// The renamed *sources* and dispatch cycle live in the issue stage's
-    /// compact `WaitEntry` instead — they are dead once an entry issues.
+    /// The renamed *sources* live in the entry's `IqSlot` instead, where
+    /// the issue stage tracks them as dependents-chain links and a
+    /// `pending` count until the entry issues.
     dest: Option<(bool, u16)>,
     old_phys: Option<(bool, u16)>,
     mispredicted: bool,
@@ -89,13 +121,18 @@ pub struct Core<T> {
     /// All-time count of entries popped off the ROB front; `abs - pops`
     /// maps a stored absolute position back to a live ROB index.
     pops: u64,
-    /// The `Waiting` entries, oldest first, with the scan-hot fields
-    /// copied inline (~24 bytes each). The issue stage walks this compact
-    /// array instead of scanning the whole ROB: the executing majority and
-    /// the 150-byte entries are never touched until something actually
-    /// issues, and in-place compaction keeps program order, so issue
-    /// decisions are identical to a full scan.
-    waiting_q: Vec<WaitEntry>,
+    /// Issue-queue slots, one per ROB position (`abs % rob_entries`).
+    slots: Vec<IqSlot>,
+    /// Per physical register (integer, then FP): the first waiting source
+    /// on it, as a node `slot * 2 + source index`, or `NIL`.
+    dep_head: Vec<u32>,
+    /// Next node on the same register's dependents chain.
+    dep_next: Vec<u32>,
+    /// Timing wheel: bucket `c % WHEEL` heads the slots due at cycle `c`
+    /// (or at a later cycle with the same remainder), linked by `next`.
+    wheel: [u32; WHEEL],
+    /// Due entries (every source ready), oldest first.
+    ready_q: Vec<u32>,
     ldq_used: usize,
     stq_used: usize,
 
@@ -146,7 +183,11 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
             rob: VecDeque::new(),
             iq_len: 0,
             pops: 0,
-            waiting_q: Vec::new(),
+            slots: vec![IqSlot::EMPTY; cfg.rob_entries],
+            dep_head: vec![NIL; cfg.int_prf + cfg.fp_prf],
+            dep_next: vec![NIL; 2 * cfg.rob_entries],
+            wheel: [NIL; WHEEL],
+            ready_q: Vec::with_capacity(cfg.iq_entries),
             ldq_used: 0,
             stq_used: 0,
             stats: CoreStats::default(),
@@ -304,7 +345,69 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
         }
     }
 
+    /// Index of physical register `(fp, p)` in `dep_head`.
+    fn reg_index(&self, fp: bool, p: u16) -> usize {
+        if fp {
+            self.cfg.int_prf + p as usize
+        } else {
+            p as usize
+        }
+    }
+
+    /// Links slot `s` into the wheel bucket of its `wake` cycle.
+    fn schedule(&mut self, s: usize) {
+        let b = self.slots[s].wake as usize & (WHEEL - 1);
+        self.slots[s].next = self.wheel[b];
+        self.wheel[b] = s as u32;
+    }
+
+    /// Moves the entries due now from their wheel bucket into `ready_q`,
+    /// in age order. Entries due a whole wheel turn (or more) later stay.
+    fn drain_wheel(&mut self) {
+        let b = self.now as usize & (WHEEL - 1);
+        let mut cur = std::mem::replace(&mut self.wheel[b], NIL);
+        while cur != NIL {
+            let s = cur as usize;
+            cur = self.slots[s].next;
+            if self.slots[s].wake <= self.now {
+                let abs = self.slots[s].abs;
+                let at = self
+                    .ready_q
+                    .partition_point(|&q| self.slots[q as usize].abs < abs);
+                self.ready_q.insert(at, s as u32);
+            } else {
+                self.slots[s].next = self.wheel[b];
+                self.wheel[b] = s as u32;
+            }
+        }
+    }
+
+    /// Wakes the sources waiting on `(fp, p)`, whose value is ready at
+    /// `ready_at`: an entry whose last pending source this was is scheduled.
+    fn wake_dependents(&mut self, fp: bool, p: u16, ready_at: u64) {
+        let r = self.reg_index(fp, p);
+        let mut node = std::mem::replace(&mut self.dep_head[r], NIL);
+        while node != NIL {
+            let s = node as usize >> 1;
+            node = self.dep_next[node as usize];
+            let slot = &mut self.slots[s];
+            slot.wake = slot.wake.max(ready_at);
+            slot.pending -= 1;
+            if slot.pending == 0 {
+                self.schedule(s);
+            }
+        }
+    }
+
+    /// Wakeup/select: the due entries join `ready_q`, which select walks
+    /// oldest first. A scan of every waiting entry in age order makes the
+    /// same decisions: the entries it adds are not ready, and a not-ready
+    /// entry neither issues nor counts a port conflict.
     fn issue(&mut self, ports_stolen: usize) {
+        self.drain_wheel();
+        #[cfg(test)]
+        self.check_scheduler();
+
         let mut issued = 0;
         let mut alu = self.cfg.int_alus;
         let mut fpu = self.cfg.fp_units;
@@ -314,42 +417,18 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
         let mut int_ports = self.cfg.prf_read_ports.saturating_sub(ports_stolen);
         let mut port_conflict_seen = false;
 
-        // Walk only the waiting entries (oldest first — the same order the
-        // full ROB scan examined them), compacting the survivors in
-        // place. The compaction only writes once entries start shifting
-        // (after the first issue of the pass), and once the issue width
-        // is spent the unexamined tail shifts down in one bulk move —
-        // behaviourally identical to the old scan's early break.
-        let mut kept = 0usize;
-        macro_rules! keep {
-            ($w:expr, $cursor:expr) => {{
-                if kept != $cursor {
-                    self.waiting_q[kept] = $w;
-                }
-                kept += 1;
-                continue;
-            }};
-        }
-        for cursor in 0..self.waiting_q.len() {
-            if issued == self.cfg.issue_width {
-                if kept != cursor {
-                    self.waiting_q.copy_within(cursor.., kept);
-                }
-                kept += self.waiting_q.len() - cursor;
-                break;
-            }
-            let w = self.waiting_q[cursor];
-            // Operand readiness.
-            let src_ready = |s: Option<(bool, u16)>| match s {
-                None => true,
-                Some((true, p)) => self.ready_fp[p as usize] <= self.now,
-                Some((false, p)) => self.ready_int[p as usize] <= self.now,
-            };
-            if !(src_ready(w.srcs[0]) && src_ready(w.srcs[1])) {
-                keep!(w, cursor);
-            }
+        let mut i = 0;
+        while i < self.ready_q.len() && issued < self.cfg.issue_width {
+            let s = self.ready_q[i] as usize;
+            let IqSlot {
+                abs,
+                class,
+                int_reads,
+                ..
+            } = self.slots[s];
+            let int_reads = int_reads as usize;
             // Functional-unit availability.
-            let unit = match w.class {
+            let unit = match class {
                 InstClass::IntAlu => &mut alu,
                 InstClass::IntMul | InstClass::IntDiv | InstClass::FpAlu => &mut fpu,
                 InstClass::Load | InstClass::Store | InstClass::Amo => &mut mem,
@@ -362,44 +441,35 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
                 InstClass::Fence | InstClass::System => &mut alu,
             };
             if *unit == 0 {
-                keep!(w, cursor);
+                i += 1;
+                continue;
             }
-            let idx = (w.abs - self.pops) as usize;
-            debug_assert_eq!(
-                self.rob[idx].state,
-                EntryState::Waiting,
-                "waiting_q is in sync"
-            );
+            let idx = (abs - self.pops) as usize;
             // Integer PRF read ports (FireGuard can have stolen some). The
             // oldest instruction is exempt: the forwarding channel only ever
             // borrows a port for a single cycle, so the head can always
             // issue — this guarantees forward progress under any sink.
-            let int_reads = w.srcs.iter().flatten().filter(|&&(fp, _)| !fp).count();
             if idx != 0 && int_reads > int_ports {
                 if ports_stolen > 0 && !port_conflict_seen {
                     self.stats.prf_port_conflicts += 1;
                     port_conflict_seen = true;
                 }
-                keep!(w, cursor);
+                i += 1;
+                continue;
             }
             *unit -= 1;
             int_ports = int_ports.saturating_sub(int_reads);
             issued += 1;
+            self.ready_q.remove(i);
 
             let t = self.rob[idx].t;
             let lat = self.exec_latency(&t);
             let ready_at = self.now + lat;
             let e = &mut self.rob[idx];
+            debug_assert_eq!(e.state, EntryState::Waiting, "ready_q is in sync");
             e.state = EntryState::Executing;
             e.ready_at = ready_at;
             self.iq_len -= 1;
-            if let Some((fp, p)) = e.dest {
-                if fp {
-                    self.ready_fp[p as usize] = ready_at;
-                } else {
-                    self.ready_int[p as usize] = ready_at;
-                }
-            }
             // A resolving misprediction schedules the front-end redirect.
             if e.mispredicted && self.redirect_wait == Some(e.t.seq) {
                 self.redirect_wait = None;
@@ -407,8 +477,48 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
                     .fetch_blocked_until
                     .max(ready_at + self.cfg.redirect_penalty);
             }
+            if let Some((fp, p)) = e.dest {
+                if fp {
+                    self.ready_fp[p as usize] = ready_at;
+                } else {
+                    self.ready_int[p as usize] = ready_at;
+                }
+                self.wake_dependents(fp, p, ready_at);
+            }
         }
-        self.waiting_q.truncate(kept);
+    }
+
+    /// The scheduler cross-check, run every cycle in this crate's tests:
+    /// after the wheel drain, `ready_q` is exactly what a scan of the ROB
+    /// would find ready — the `Waiting` entries whose sources are all
+    /// ready by now, oldest first.
+    #[cfg(test)]
+    fn check_scheduler(&self) {
+        let src_ready = |s: &Option<(bool, u16)>| match *s {
+            None => true,
+            Some((true, p)) => self.ready_fp[p as usize] <= self.now,
+            Some((false, p)) => self.ready_int[p as usize] <= self.now,
+        };
+        let n = self.cfg.rob_entries as u64;
+        let waiting = (self.pops..self.pops + self.rob.len() as u64)
+            .filter(|&abs| self.rob[(abs - self.pops) as usize].state == EntryState::Waiting);
+        assert_eq!(
+            waiting.clone().count(),
+            self.iq_len,
+            "iq_len counts Waiting"
+        );
+        let want = waiting.filter(|&abs| {
+            let slot = &self.slots[(abs % n) as usize];
+            assert_eq!(slot.abs, abs, "slot holds its ROB entry");
+            slot.srcs.iter().all(src_ready)
+        });
+        let got = self.ready_q.iter().map(|&s| self.slots[s as usize].abs);
+        assert!(
+            got.eq(want),
+            "cycle {}: ready_q {:?} is not the ready Waiting entries",
+            self.now,
+            self.ready_q
+        );
     }
 
     // ---- dispatch / rename -------------------------------------------------------
@@ -478,17 +588,44 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
             // All structural checks passed: consume and rename (reusing
             // the copy peeked for the structural checks above).
             self.fetch_buf.pop_front().expect("checked non-empty");
-            let mut srcs: [Option<(bool, u16)>; 2] = [None, None];
-            for (i, s) in t.inst.sources().into_iter().enumerate() {
-                if let Some(a) = s {
+            // Rename the sources into the entry's slot, linking each one
+            // still waiting on its producer onto that register's chain.
+            let abs = self.pops + self.rob.len() as u64;
+            let s = (abs % self.cfg.rob_entries as u64) as usize;
+            let mut slot = IqSlot {
+                abs,
+                // Issue runs before dispatch: the cycle after is the first
+                // an entry can issue in.
+                wake: self.now + 1,
+                class: t.class,
+                ..IqSlot::EMPTY
+            };
+            for (i, src) in t.inst.sources().into_iter().enumerate() {
+                if let Some(a) = src {
                     let fp = is_fp_op;
-                    let phys = if fp {
-                        self.rat_fp[a.index() as usize]
+                    let (phys, ready) = if fp {
+                        let p = self.rat_fp[a.index() as usize];
+                        (p, self.ready_fp[p as usize])
                     } else {
-                        self.rat_int[a.index() as usize]
+                        let p = self.rat_int[a.index() as usize];
+                        (p, self.ready_int[p as usize])
                     };
-                    srcs[i] = Some((fp, phys));
+                    slot.srcs[i] = Some((fp, phys));
+                    slot.int_reads += u8::from(!fp);
+                    if ready == NOT_READY {
+                        let node = 2 * s + i;
+                        let r = self.reg_index(fp, phys);
+                        self.dep_next[node] = self.dep_head[r];
+                        self.dep_head[r] = node as u32;
+                        slot.pending += 1;
+                    } else {
+                        slot.wake = slot.wake.max(ready);
+                    }
                 }
+            }
+            self.slots[s] = slot;
+            if slot.pending == 0 {
+                self.schedule(s);
             }
             let mut dest = None;
             let mut old_phys = None;
@@ -522,11 +659,6 @@ impl<T: Iterator<Item = TraceInst>> Core<T> {
                 dest,
                 old_phys,
                 mispredicted,
-            });
-            self.waiting_q.push(WaitEntry {
-                abs: self.pops + (self.rob.len() - 1) as u64,
-                srcs,
-                class: t.class,
             });
             self.iq_len += 1;
             dispatched += 1;
@@ -785,22 +917,153 @@ mod tests {
     fn phys_registers_are_conserved() {
         let mut c = core_for("dedup", 29);
         c.run_insts(30_000, &mut NullSink);
-        // Drain what's in flight.
+        let in_flight = |c: &Core<TraceGenerator>, fp: bool| {
+            c.rob
+                .iter()
+                .filter(|e| matches!(e.dest, Some((f, _)) if f == fp))
+                .count()
+        };
+        // Step on, checking both PRFs every cycle.
+        let mut fp_renames_seen = false;
         for _ in 0..10_000 {
             if c.rob.is_empty() {
                 break;
             }
             c.step(&mut NullSink);
+            assert_eq!(
+                c.free_int.len() + 32 + in_flight(&c, false),
+                c.cfg.int_prf,
+                "integer free list + architectural + in-flight must equal PRF size"
+            );
+            assert_eq!(
+                c.free_fp.len() + 32 + in_flight(&c, true),
+                c.cfg.fp_prf,
+                "FP free list + architectural + in-flight must equal PRF size"
+            );
+            fp_renames_seen |= in_flight(&c, true) > 0;
         }
-        assert_eq!(
-            c.free_int.len()
-                + 32
-                + c.rob
-                    .iter()
-                    .filter(|e| matches!(e.dest, Some((false, _))))
-                    .count(),
-            c.cfg.int_prf,
-            "integer free list + architectural + in-flight must equal PRF size"
-        );
+        assert!(fp_renames_seen, "the FP check saw FP renames");
+    }
+
+    #[test]
+    fn stall_kinds_are_one_per_stage_per_cycle() {
+        // Commit charges `CommitBackpressure` and dispatch charges one of
+        // the other six kinds, each at most once a cycle — so the two
+        // stages can both stall in one cycle, and only the dispatch kinds
+        // are bounded by `cycles`.
+        let mut c = core_for("blackscholes", 1);
+        let mut sink = ThrottleSink::new(3);
+        let is_dispatch = |k: &StallKind| *k != StallKind::CommitBackpressure;
+        let mut prev = c.stats().clone();
+        let mut shared = 0;
+        for _ in 0..20_000 {
+            c.step(&mut sink);
+            let s = c.stats();
+            let commit = s.stalls(StallKind::CommitBackpressure)
+                - prev.stalls(StallKind::CommitBackpressure);
+            let dispatch: u64 = StallKind::ALL
+                .iter()
+                .filter(|k| is_dispatch(k))
+                .map(|&k| s.stalls(k) - prev.stalls(k))
+                .sum();
+            assert!(commit <= 1, "commit charged {commit} kinds in a cycle");
+            assert!(
+                dispatch <= 1,
+                "dispatch charged {dispatch} kinds in a cycle"
+            );
+            shared += commit * dispatch;
+            prev = s.clone();
+        }
+        let s = c.stats();
+        let dispatch: u64 = StallKind::ALL
+            .iter()
+            .filter(|k| is_dispatch(k))
+            .map(|&k| s.stalls(k))
+            .sum();
+        assert!(dispatch <= s.cycles);
+        assert!(shared > 0, "commit and dispatch stalls share cycles");
+    }
+
+    /// The furthest-out wake cycle in the wheel, in cycles from now.
+    fn wheel_horizon<T>(c: &Core<T>) -> u64 {
+        let mut far = 0;
+        for &head in &c.wheel {
+            let mut cur = head;
+            while cur != NIL {
+                far = far.max(c.slots[cur as usize].wake.saturating_sub(c.now));
+                cur = c.slots[cur as usize].next;
+            }
+        }
+        far
+    }
+
+    /// Runs 3,000 instructions of every profile through to a full drain
+    /// under `cfg` and `sink`, with the scheduler cross-check
+    /// (`Core::check_scheduler`) live every cycle. After the drain every
+    /// dependents chain, wheel bucket and `ready_q` must be empty. Returns
+    /// the furthest wake-up the wheel held, in cycles ahead, and the PRF
+    /// port conflicts.
+    fn cross_check<S: CommitSink>(cfg: BoomConfig, sink: &mut S) -> (u64, u64) {
+        let (mut horizon, mut conflicts) = (0, 0);
+        for w in fireguard_trace::PARSEC_WORKLOADS {
+            let t = TraceGenerator::new(w.clone(), 31).take(3_000);
+            let mut c = Core::new(cfg, t);
+            while !c.is_drained() {
+                c.step(sink);
+                horizon = horizon.max(wheel_horizon(&c));
+                assert!(c.now < 1_000_000, "{}: no drain", w.name);
+            }
+            assert_eq!(c.stats.committed, 3_000);
+            assert_eq!(c.iq_len, 0);
+            assert!(c.dep_head.iter().all(|&h| h == NIL), "{}: chains", w.name);
+            assert!(c.wheel.iter().all(|&h| h == NIL), "{}: wheel", w.name);
+            assert!(c.ready_q.is_empty(), "{}: ready_q", w.name);
+            conflicts += c.stats.prf_port_conflicts;
+        }
+        (horizon, conflicts)
+    }
+
+    #[test]
+    fn scheduler_cross_check_at_defaults() {
+        cross_check(BoomConfig::default(), &mut ThrottleSink::new(5));
+    }
+
+    #[test]
+    fn scheduler_cross_check_past_the_wheel() {
+        let mut cfg = BoomConfig::default();
+        cfg.dmem.latency.dram = 2 * WHEEL as u64;
+        let horizon = cross_check(cfg, &mut NullSink).0;
+        assert!(horizon > WHEEL as u64, "wake-ups wrap the wheel: {horizon}");
+    }
+
+    #[test]
+    fn scheduler_cross_check_at_issue_widths_1_and_8() {
+        for issue_width in [1, 8] {
+            let cfg = BoomConfig {
+                issue_width,
+                ..BoomConfig::default()
+            };
+            cross_check(cfg, &mut NullSink);
+        }
+    }
+
+    #[test]
+    fn scheduler_cross_check_with_stolen_ports() {
+        /// Steals 0, 1 or 2 of the two ports in turn.
+        struct Steal;
+        impl CommitSink for Steal {
+            fn offer(&mut self, _now: u64, _slot: usize, _inst: &TraceInst) -> bool {
+                true
+            }
+            fn prf_ports_stolen(&mut self, now: u64) -> usize {
+                (now % 3) as usize
+            }
+        }
+        let cfg = BoomConfig {
+            prf_read_ports: 2,
+            ..BoomConfig::default()
+        };
+        let conflicts = cross_check(cfg, &mut Steal).1;
+        assert!(conflicts > 0, "stolen ports blocked issue");
     }
 }

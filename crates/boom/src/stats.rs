@@ -77,7 +77,10 @@ pub struct CoreStats {
     pub mispredicts: u64,
     /// L1I line misses during fetch.
     pub icache_misses: u64,
-    /// Per-kind stall cycles (a cycle may be charged to one kind only).
+    /// Per-kind stall cycles, at most one kind per stage per cycle: commit
+    /// charges `CommitBackpressure` and dispatch one of the other six, so
+    /// the dispatch kinds sum to at most `cycles` while all seven together
+    /// can exceed it.
     pub stall_cycles: [u64; 7],
     /// Cycles in which at least one instruction committed.
     pub commit_active_cycles: u64,
